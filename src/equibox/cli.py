@@ -9,10 +9,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from equibox import certifier, dickson, repdecomp, solver
-from equibox import measures
+# measures and solver pull in numpy and scipy; the numerical commands
+# import them when they run, so that the algebraic commands start fast
+from equibox import certifier, dickson, repdecomp
 from equibox.gf2poly import PolyGF2
 
 SCHEMA = "equibox/1"
@@ -203,6 +202,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_gen_measure(args):
+    from equibox import measures
+
     if args.grid_cells:
         grid = measures.gaussian_mixture_grid(args.d, args.components,
                                               args.grid_cells, args.seed)
@@ -216,6 +217,8 @@ def _cmd_gen_measure(args):
 
 
 def _cmd_solve(args):
+    from equibox import measures, solver
+
     measure = measures.load_measure(args.input)
     report = solver.solve_equipartition(
         measure, args.l, args.m, tol=args.tol, max_restarts=args.restarts,
@@ -229,10 +232,12 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
+    from equibox import measures, solver
+
     measure = measures.load_measure(args.input)
     with open(args.config) as fh:
         obj = json.load(fh)
-    if "config" in obj and isinstance(obj["config"], dict):
+    if isinstance(obj, dict) and isinstance(obj.get("config"), dict):
         obj = obj["config"]  # a solve report was passed
     config = measures.Configuration.from_dict(obj)
     report = solver.verify_configuration(measure, config, args.tol)

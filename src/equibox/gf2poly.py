@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 import re
+import sys
+from itertools import repeat
 
 from equibox._gf2fallback import EXP_BITS, EXP_MAX, carry_mask
 from equibox import _gf2fallback
@@ -149,6 +151,19 @@ class PolyGF2:
     def term_tuples(self):
         """All monomials as a frozenset of exponent tuples."""
         return frozenset(unpack_key(k, self.nvars) for k in self._keys)
+
+    def max_exponents(self):
+        """The largest exponent of each term, one int per term, unordered."""
+        n = self.nvars
+        # each key as n native 16-bit (EXP_BITS) fields; the field order may
+        # be reversed, which a max ignores. Strided views and map keep the
+        # loop in C
+        raw = b"".join(map(int.to_bytes, self._keys, repeat(2 * n),
+                           repeat(sys.byteorder)))
+        fields = memoryview(raw).cast("H")
+        if n == 1:
+            return fields.tolist()
+        return list(map(max, *(fields[i::n] for i in range(n))))
 
     def sorted_terms(self):
         """Monomials in canonical order (graded-lex, highest first)."""

@@ -284,8 +284,13 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(obj["u"], obj["extra_dirs"], obj["parallel_offsets"],
-                   obj["extra_offsets"])
+        keys = ("u", "extra_dirs", "parallel_offsets", "extra_offsets")
+        if not isinstance(obj, dict):
+            raise ValueError("configuration must be a JSON object")
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            raise ValueError("configuration lacks %s" % ", ".join(missing))
+        return cls(*(obj[k] for k in keys))
 
 
 # -- directional quantiles -------------------------------------------------

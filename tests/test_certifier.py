@@ -45,6 +45,22 @@ def test_m3_even_matches_direct_form(k):
     assert criterion_polynomial(3, 2 * k) == direct
 
 
+@pytest.mark.parametrize("m, l", [(m, l) for m in (3, 4) for l in range(1, 9)]
+                         + [(5, l) for l in range(1, 6)])
+def test_criterion_matches_product_reference(m, l):
+    # reference built from the product form and repeated-squaring __pow__,
+    # independent of the Moore form and of _quotient_power
+    e1 = (1,) + (0,) * (m - 1)
+    rest = (0,) + (1,) * (m - 1)
+    q = dickson_product(m).divide_by_monomial(e1)
+    if l % 2 == 0:
+        pm1 = PolyGF2(m, [(0,) + t for t in dickson_product(m - 1).term_tuples()])
+        direct = pm1.divide_by_monomial(rest) * q ** (l // 2)
+    else:
+        direct = (q ** (l // 2 + 1)).divide_by_monomial(rest)
+    assert criterion_polynomial(m, l) == direct
+
+
 def test_criterion_nonzero_homogeneous():
     for m, l in [(2, 1), (2, 6), (3, 3), (3, 8), (4, 4), (4, 5)]:
         p = criterion_polynomial(m, l)
@@ -128,6 +144,20 @@ def test_m2_min_dimension_against_oracle(l):
 @pytest.mark.parametrize("k", list(range(1, 21)))
 def test_m2_even_law(k):
     assert min_dimension(2, 2 * k) == k + 1
+
+
+@pytest.mark.parametrize("l", [1000, 60000, 65533])
+def test_m2_min_dimension_large_l(l):
+    # criterion 2's law ceil(l/2) + 1, far past a depth-l recursion
+    assert min_dimension(2, l) == (l + 1) // 2 + 1
+
+
+def test_oversized_l_refused_up_front():
+    # (l//2 + 1) * 2^(m-1) must stay within the 16-bit exponent range
+    with pytest.raises(ValueError, match="the largest l is 65533"):
+        min_dimension(2, 65534)
+    with pytest.raises(ValueError, match="the largest l is 16381"):
+        certify(4, 16382, 5)
 
 
 def test_known_minimal_dimensions():

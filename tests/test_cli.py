@@ -1,9 +1,13 @@
 """Subcommand routing, output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import equibox
 from equibox.cli import dispatch
 
 
@@ -133,3 +137,37 @@ def test_solve_missing_input_is_error(capsys):
     code, _, err = run(capsys, "solve", "--input", "/does/not/exist.csv",
                        "--l", "1", "--m", "2")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("min-d", "--m", "2", "--l", "100000"),
+    ("certify", "--m", "2", "--l", "100000", "--d", "3"),
+])
+def test_oversized_l_is_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "largest l is 65533" in err
+
+
+@pytest.mark.parametrize("config", ["{}", '{"u": [1, 0]}', "[]"])
+def test_verify_incomplete_config_is_error(tmp_path, capsys, config):
+    measure = tmp_path / "m.csv"
+    measure.write_text("x1,x2,w\n0,0,1\n1,1,1\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    code, out, err = run(capsys, "verify", "--input", str(measure),
+                         "--config", str(config_path), "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: configuration")
+
+
+def test_cli_import_leaves_numerical_stack_unloaded():
+    # the child imports equibox from where this process found it
+    root = os.path.dirname(os.path.dirname(equibox.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    probe = ("import sys, equibox.cli; print(sorted(m for m in "
+             "('numpy', 'scipy', 'equibox.measures', 'equibox.solver') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -197,6 +197,15 @@ def test_divide_undoes_monomial_multiplication(p, mu):
     assert divide_by_monomial(shifted, mu) == p
 
 
+# -- views ------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: polys(n, max_terms=10, max_exp=EXP_MAX)))
+def test_max_exponents_match_term_tuples(p):
+    assert sorted(p.max_exponents()) == sorted(max(t) for t in p.term_tuples())
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_text_examples():
