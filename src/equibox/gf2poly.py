@@ -1,11 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over GF(2).
 
 A polynomial is a finite set of monomials (presence = coefficient 1).
-Internally each monomial is a packed integer key, 16 bits per exponent
-(see _gf2fallback for the encoding); the public API speaks exponent
-tuples. The multiply kernel is compiled (equibox._gf2core) when the
-extension built, with a pure-Python fallback selected at import time.
-Set EQUIBOX_PURE_GF2=1 to force the fallback.
+Internally each monomial is a packed integer key: the exponent of
+variable i occupies bits [16*i, 16*i + 16). Multiplying two monomials is
+plain integer addition of their keys, and an exponent passing EXP_MAX is
+a carry across a field boundary, detected with the XOR carry identity
+(a ^ b ^ (a+b) has bit k set iff the addition carried into bit k). The
+public API speaks exponent tuples.
 
 Canonical term order is graded-lexicographic with x1 > x2 > ... > xm,
 highest term first. Text form: terms joined by "+", factors joined by
@@ -15,39 +16,35 @@ term is "1" and the zero polynomial is "0".
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from itertools import repeat
 
-from equibox._gf2fallback import EXP_BITS, EXP_MAX, carry_mask
-from equibox import _gf2fallback
-
-if os.environ.get("EQUIBOX_PURE_GF2"):
-    _kernel = _gf2fallback
-else:
-    try:
-        from equibox import _gf2core as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _gf2fallback
+EXP_BITS = 16
+EXP_MAX = (1 << EXP_BITS) - 1
 
 
 def active_backend():
-    """Name of the multiply kernel in use: "cython" or "pure"."""
-    return _kernel.BACKEND
+    """Name of the multiply kernel; the benchmark metadata reads it."""
+    return "pure"
 
 
-def set_active_backend(name):
-    """Switch the multiply kernel ("cython" / "pure"); for benchmarks."""
-    global _kernel
-    if name == "pure":
-        _kernel = _gf2fallback
-    elif name == "cython":
-        from equibox import _gf2core
+def carry_mask(nvars):
+    """Bit mask of all field boundaries for an nvars-variable term."""
+    mask = 0
+    for j in range(1, nvars + 1):
+        mask |= 1 << (EXP_BITS * j)
+    return mask
 
-        _kernel = _gf2core
-    else:
-        raise ValueError("unknown backend %r" % (name,))
+
+def _exponent_fields(keys, nvars):
+    """All exponents of the keys as one flat view of native 16-bit
+    (EXP_BITS) fields, nvars per key. The field order within a key may be
+    reversed, the same way for every key; packing and a strided view keep
+    the loops in C."""
+    raw = b"".join(map(int.to_bytes, keys, repeat(2 * nvars),
+                       repeat(sys.byteorder)))
+    return memoryview(raw).cast("H")
 
 
 class VariableMismatchError(ValueError):
@@ -155,12 +152,7 @@ class PolyGF2:
     def max_exponents(self):
         """The largest exponent of each term, one int per term, unordered."""
         n = self.nvars
-        # each key as n native 16-bit (EXP_BITS) fields; the field order may
-        # be reversed, which a max ignores. Strided views and map keep the
-        # loop in C
-        raw = b"".join(map(int.to_bytes, self._keys, repeat(2 * n),
-                           repeat(sys.byteorder)))
-        fields = memoryview(raw).cast("H")
+        fields = _exponent_fields(self._keys, n)
         if n == 1:
             return fields.tolist()
         return list(map(max, *(fields[i::n] for i in range(n))))
@@ -217,11 +209,24 @@ class PolyGF2:
         if not isinstance(other, PolyGF2):
             return NotImplemented
         self._check_same_ring(other)
-        try:
-            keys = _kernel.mul_terms(self._keys, other._keys, self.nvars)
-        except OverflowError as exc:
-            raise ExponentOverflowError(str(exc)) from None
-        return PolyGF2._from_keys(self.nvars, keys)
+        n = self.nvars
+        a, b = self._keys, other._keys
+        if not (a and b):
+            return PolyGF2.zero(n)
+        # the pair of terms holding a variable's largest exponents has the
+        # largest sum for it, so one test per variable covers all pairs
+        fa, fb = _exponent_fields(a, n), _exponent_fields(b, n)
+        if any(max(fa[i::n]) + max(fb[i::n]) > EXP_MAX for i in range(n)):
+            raise ExponentOverflowError(
+                "exponent sum exceeds %d in term product" % EXP_MAX)
+        if len(a) > len(b):
+            a, b = b, a
+        # one row's sums are distinct, so toggling their membership keeps
+        # exactly the products of odd multiplicity
+        out = set()
+        for ka in a:
+            out.symmetric_difference_update(map(ka.__add__, b))
+        return PolyGF2._from_keys(n, out)
 
     def _squared(self):
         # char 2: (sum m_i)^2 = sum m_i^2, so squaring doubles exponents

@@ -203,6 +203,11 @@ def write_grid_json(path, grid):
 
 
 def _mixture_params(d, components, rng):
+    if d < 1:
+        raise MeasureFormatError("dimension d must be at least 1, got %d" % d)
+    if components < 1:
+        raise MeasureFormatError(
+            "components must be at least 1, got %d" % components)
     means = rng.uniform(-1.5, 1.5, size=(components, d))
     sigmas = rng.uniform(0.6, 1.1, size=components)
     weights = rng.uniform(0.5, 1.5, size=components)
@@ -211,6 +216,8 @@ def _mixture_params(d, components, rng):
 
 def gaussian_mixture_cloud(d, components, n, seed):
     """Point cloud sampled from a seeded isotropic Gaussian mixture."""
+    if n < 1:
+        raise MeasureFormatError("point count n must be at least 1, got %d" % n)
     rng = np.random.default_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
     which = rng.choice(components, size=n, p=weights)

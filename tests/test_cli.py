@@ -133,6 +133,17 @@ def test_gen_measure_grid(tmp_path, capsys):
     assert sum(obj["data"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flag", ["--n", "--d", "--components"])
+def test_gen_measure_bad_size_is_error(tmp_path, capsys, flag):
+    out_path = tmp_path / "m.csv"
+    sizes = {"--d": "2", "--components": "2", "--n": "100", flag: "0"}
+    argv = [arg for pair in sizes.items() for arg in pair]
+    code, out, err = run(capsys, "gen-measure", *argv, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and flag[2:] in err
+    assert not out_path.exists()
+
+
 def test_solve_missing_input_is_error(capsys):
     code, _, err = run(capsys, "solve", "--input", "/does/not/exist.csv",
                        "--l", "1", "--m", "2")

@@ -1,11 +1,11 @@
 """Ring laws, spec examples and serialization for the GF(2) polynomials."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equibox import _gf2fallback
 from equibox.gf2poly import (
     EXP_MAX,
     ExponentOverflowError,
@@ -18,11 +18,6 @@ from equibox.gf2poly import (
     poly_mul,
     poly_pow,
 )
-
-try:
-    from equibox import _gf2core
-except ImportError:
-    _gf2core = None
 
 
 def P(nvars, *terms):
@@ -92,10 +87,38 @@ def test_mul_expansion():
     assert got == P(3, (2, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1))
 
 
-def test_mul_overflow_checked():
-    p = P(1, (EXP_MAX - 1,))
+@pytest.mark.parametrize("a, b", [
+    (P(1, (EXP_MAX - 1,)), P(1, (EXP_MAX - 1,))),
+    # the top field's carry leaves the key altogether
+    (P(2, (0, EXP_MAX)), P(2, (0, EXP_MAX))),
+    # a lower field's carry must not turn x1^EXP_MAX * x1 into x2
+    (P(2, (EXP_MAX, 0)), P(2, (1, 0))),
+], ids=["one-var", "top-field", "lower-field"])
+def test_mul_overflow_checked(a, b):
     with pytest.raises(ExponentOverflowError):
-        poly_mul(p, p)
+        poly_mul(a, b)
+
+
+def _near_max_polys(nvars):
+    # exponents whose pair sums fall on both sides of EXP_MAX
+    exponent = st.one_of(st.integers(0, 4),
+                         st.integers(EXP_MAX // 2 - 2, EXP_MAX // 2 + 2),
+                         st.integers(EXP_MAX - 4, EXP_MAX))
+    return st.frozensets(st.tuples(*[exponent] * nvars), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _near_max_polys(n), _near_max_polys(n))))
+def test_mul_near_exponent_limit(case):
+    nvars, ta, tb = case
+    a, b = PolyGF2(nvars, ta), PolyGF2(nvars, tb)
+    sums = Counter(tuple(i + j for i, j in zip(s, t)) for s in ta for t in tb)
+    if any(e > EXP_MAX for t in sums for e in t):
+        with pytest.raises(ExponentOverflowError):
+            a * b
+    else:
+        assert a * b == PolyGF2(nvars, [t for t, c in sums.items() if c % 2])
 
 
 # -- powers ---------------------------------------------------------------
@@ -247,22 +270,3 @@ def test_constructor_rejects_duplicates_and_bad_width():
     with pytest.raises(VariableMismatchError):
         PolyGF2(2, [(1, 2, 3)])
 
-
-# -- kernel twins -------------------------------------------------------------
-
-@pytest.mark.skipif(_gf2core is None, reason="compiled kernel not built")
-@settings(max_examples=80, deadline=None)
-@given(polys(4, max_terms=12, max_exp=9), polys(4, max_terms=12, max_exp=9))
-def test_compiled_kernel_matches_pure(a, b):
-    got_fast = _gf2core.mul_terms(a._keys, b._keys, 4)
-    got_pure = _gf2fallback.mul_terms(a._keys, b._keys, 4)
-    assert got_fast == got_pure
-
-
-@pytest.mark.skipif(_gf2core is None, reason="compiled kernel not built")
-def test_compiled_kernel_overflow_matches_pure():
-    big = frozenset((EXP_MAX << 16,))
-    with pytest.raises(OverflowError):
-        _gf2core.mul_terms(big, big, 2)
-    with pytest.raises(OverflowError):
-        _gf2fallback.mul_terms(big, big, 2)
