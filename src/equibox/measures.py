@@ -227,6 +227,9 @@ def gaussian_mixture_cloud(d, components, n, seed):
 
 def gaussian_mixture_grid(d, components, cells_per_axis, seed):
     """Grid discretization of the same seeded mixture (window: 3.5 sigma)."""
+    if cells_per_axis < 1:
+        raise MeasureFormatError(
+            "grid cells per axis must be at least 1, got %d" % cells_per_axis)
     if cells_per_axis ** d > 1 << 24:
         raise MeasureFormatError("grid would exceed the cell-count guard")
     rng = np.random.default_rng(seed)

@@ -9,8 +9,20 @@ characters' linear forms re-derives the certifier's criterion
 polynomial by an independent route: the central cross-check of this
 package.
 
-All ranks are computed in exact rational arithmetic (Fraction); a
-floating-point rank could silently shift a multiplicity by one and
+The multiplicities come from character inner products (Serre, Linear
+Representations of Finite Groups, 2.3). The permutations are
+orthogonal, so the span C of the constraint rows has the deviation
+space V as its orthogonal complement, and R^boxes = C + V as
+representations when C is invariant under every generator. Then
+
+    mult(chi) = 2^-m * sum over g of chi(g) * (fix(g) - tr(g | C)),
+
+where fix(g) counts the boxes g fixes. One exact elimination gives a
+basis of C whose row i is 1 at its pivot column p_i and 0 at every
+other pivot; then tr(g | C) = sum over i of row_i[g(p_i)]. A spec whose
+constraint span is not invariant is refused, because the formula needs
+the splitting. All arithmetic is exact (int and Fraction): a
+floating-point trace could silently shift a multiplicity by one and
 poison the oracle.
 """
 
@@ -19,7 +31,8 @@ from fractions import Fraction
 
 from equibox.gf2poly import PolyGF2
 
-MAX_BOXES = 1 << 16
+# bound on constraint rows x boxes, the entries the constraints take
+MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
 class TrivialCharacterError(Exception):
@@ -75,16 +88,26 @@ def character_form(chi, m):
     return PolyGF2.linear_form(m, [i for i, bit in enumerate(chi) if bit])
 
 
+def _constraint_entries(m, l):
+    return (l + m) * (l + 1) * 2 ** (m - 1)
+
+
 def build_test_representation(m, l):
     """ActionSpec for l parallel hyperplanes and m-1 single ones."""
     if not 2 <= m <= 6:
         raise ValueError("m must be in [2, 6], got %r" % (m,))
     if l < 1:
         raise ValueError("l must be >= 1, got %r" % (l,))
+    if _constraint_entries(m, l) > MAX_CONSTRAINT_ENTRIES:
+        largest = 0
+        while _constraint_entries(m, largest + 1) <= MAX_CONSTRAINT_ENTRIES:
+            largest += 1
+        raise ValueError(
+            "l=%d is too large to decompose for m=%d: the constraints would "
+            "take more than %d entries; the largest l is %d"
+            % (l, m, MAX_CONSTRAINT_ENTRIES, largest))
     half = 2 ** (m - 1)
     nboxes = (l + 1) * half
-    if nboxes > MAX_BOXES:
-        raise ValueError("box count %d exceeds guard %d" % (nboxes, MAX_BOXES))
 
     def box(slab, bits):
         return slab * half + bits
@@ -123,59 +146,61 @@ def build_test_representation(m, l):
 # -- exact linear algebra over Q ---------------------------------------
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
+def _eliminate(row, pivot_row, f):
+    """row -= f * pivot_row in place, on {column: nonzero value} dicts."""
+    for c, x in pivot_row.items():
+        y = row.get(c, 0) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _reduced_basis(rows):
+    """Exact basis of the span of the rows, with its pivot columns.
+
+    Rows come back as {column: nonzero Fraction} dicts, sorted by pivot;
+    row i is 1 at pivot i and 0 at every other pivot, so a vector w of
+    the span is the sum of w[p_i] times row i.
+    """
+    basis = {}
+    for dense in rows:
+        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        for p, b in basis.items():
+            if p in row:
+                _eliminate(row, b, row[p])
+        if not row:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        pivot = min(row)
+        scale = row[pivot]
+        row = {c: x / scale for c, x in row.items()}
+        for b in basis.values():
+            if pivot in b:
+                _eliminate(b, row, b[pivot])
+        basis[pivot] = row
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
 
 
-def _rank(rows):
-    return len(_rref(rows)[0])
+def _invariant_basis(spec):
+    """_reduced_basis of the constraints.
 
-
-def _reduce_against(vec, rref_rows, pivots):
-    """Residue of vec modulo the span of the given rref rows."""
-    v = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        if v[p] != 0:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _nullspace_basis(rows, ncols):
-    rref_rows, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(rref_rows, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
+    Raises ValueError unless every generator maps their span into itself:
+    the image of each basis row must equal the combination of the rows
+    given by its entries at the pivots.
+    """
+    rows, pivots = _reduced_basis(spec.constraints)
+    for i, perm in enumerate(spec.generator_perms):
+        for row in rows:
+            image = {perm[c]: x for c, x in row.items()}
+            combination = {}
+            for other, p in zip(rows, pivots):
+                if p in image:
+                    _eliminate(combination, other, -image[p])
+            if image != combination:
+                raise ValueError(
+                    "constraint span not invariant under generator %d" % i)
+    return rows, pivots
 
 
 # -- validation ---------------------------------------------------------
@@ -197,14 +222,7 @@ def validate_action_spec(spec):
         for j, q in enumerate(spec.generator_perms[i + 1:], start=i + 1):
             if any(p[q[b]] != q[p[b]] for b in range(n)):
                 raise ValueError("generators %d and %d do not commute" % (i, j))
-    rref_rows, pivots = _rref(spec.constraints)
-    for i, p in enumerate(spec.generator_perms):
-        for c, row in enumerate(spec.constraints):
-            image = [row[p[b]] for b in range(n)]
-            if any(x != 0 for x in _reduce_against(image, rref_rows, pivots)):
-                raise ValueError(
-                    "constraint %d not invariant under generator %d" % (c, i)
-                )
+    _invariant_basis(spec)
 
 
 # -- character decomposition --------------------------------------------
@@ -221,38 +239,39 @@ def _group_perms(spec):
         perms.append(tuple(gen[prev[b]] for b in range(n)))
     return perms
 
-def constraint_subspace_basis(spec):
-    """Exact basis of the deviation space cut out by the constraints."""
-    return _nullspace_basis(spec.constraints, spec.box_count)
-
 
 def character_multiplicities(spec):
     """Decompose the constrained space into sign characters.
 
-    For each character the group-averaged (sign-weighted) projector is
-    applied to a basis of the constraint subspace and the multiplicity
-    is the exact rank of the image.
+    Each multiplicity is the inner product of the sign character with
+    fix(g) - tr(g | constraint span) over the 2^m group elements (see
+    the module docstring), in exact arithmetic. Raises ValueError when
+    the constraint span is not invariant, or when the inner products are
+    not non-negative integers summing to the deviation space's dimension.
     """
-    basis = constraint_subspace_basis(spec)
-    group = _group_perms(spec)
-    n = spec.box_count
-    scale = Fraction(1, 1 << spec.m)
+    rows, pivots = _invariant_basis(spec)
+    trace = []  # character of the deviation space at each group element
+    for perm in _group_perms(spec):
+        fixed = sum(1 for b, image in enumerate(perm) if b == image)
+        on_span = sum(row.get(perm[p], 0) for row, p in zip(rows, pivots))
+        trace.append(fixed - on_span)
+    order = 1 << spec.m
+    total_dim = spec.box_count - len(pivots)
     mult = {}
-    for chi_mask in range(1 << spec.m):
-        images = []
-        for v in basis:
-            acc = [Fraction(0)] * n
-            for g_mask, perm in enumerate(group):
-                if (g_mask & chi_mask).bit_count() & 1:
-                    for b in range(n):
-                        acc[b] -= v[perm[b]]
-                else:
-                    for b in range(n):
-                        acc[b] += v[perm[b]]
-            images.append([x * scale for x in acc])
+    for chi_mask in range(order):
         chi = tuple((chi_mask >> i) & 1 for i in range(spec.m))
-        mult[chi] = _rank(images)
-    return CharacterTable(spec.m, mult, len(basis))
+        inner = sum(-t if (g & chi_mask).bit_count() & 1 else t
+                    for g, t in enumerate(trace))
+        k, rest = divmod(inner, order)
+        if rest or k < 0:
+            raise ValueError(
+                "character %s has multiplicity %s, not a non-negative integer"
+                % (character_name(chi), Fraction(inner) / order))
+        mult[chi] = k
+    if sum(mult.values()) != total_dim:
+        raise ValueError("multiplicities sum to %d, not the dimension %d"
+                         % (sum(mult.values()), total_dim))
+    return CharacterTable(spec.m, mult, total_dim)
 
 
 def index_polynomial(spec, table=None):

@@ -133,14 +133,15 @@ def test_gen_measure_grid(tmp_path, capsys):
     assert sum(obj["data"]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("flag", ["--n", "--d", "--components"])
+@pytest.mark.parametrize("flag", ["--n", "--d", "--components", "--grid-cells"])
 def test_gen_measure_bad_size_is_error(tmp_path, capsys, flag):
     out_path = tmp_path / "m.csv"
-    sizes = {"--d": "2", "--components": "2", "--n": "100", flag: "0"}
+    sizes = {"--d": "2", "--components": "2", "--n": "100",
+             flag: "-3" if flag == "--grid-cells" else "0"}
     argv = [arg for pair in sizes.items() for arg in pair]
     code, out, err = run(capsys, "gen-measure", *argv, "--out", str(out_path))
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and flag[2:] in err
+    assert err.count("\n") == 1 and flag[2:].replace("-", " ") in err
     assert not out_path.exists()
 
 
@@ -158,6 +159,12 @@ def test_oversized_l_is_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "largest l is 65533" in err
+
+
+def test_decompose_oversized_l_is_error(capsys):
+    code, out, err = run(capsys, "decompose", "--m", "2", "--l", "723")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "largest l is 722" in err
 
 
 @pytest.mark.parametrize("config", ["{}", '{"u": [1, 0]}', "[]"])

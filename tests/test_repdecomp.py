@@ -1,18 +1,25 @@
 """Action construction, character decomposition and the oracle cross-check."""
 
+from fractions import Fraction
+
 import pytest
 
 from equibox.certifier import criterion_polynomial
 from equibox.repdecomp import (
+    MAX_CONSTRAINT_ENTRIES,
     ActionSpec,
+    CharacterTable,
     TrivialCharacterError,
+    _group_perms,
     build_test_representation,
     character_multiplicities,
     character_name,
-    constraint_subspace_basis,
     index_polynomial,
     validate_action_spec,
 )
+
+CRITERION_5_CASES = [(m, l) for m in (2, 3) for l in range(1, 10)]
+CRITERION_5_CASES += [(4, l) for l in range(1, 6)]
 
 
 def _named(table):
@@ -20,19 +27,96 @@ def _named(table):
             for chi, k in table.multiplicities.items() if k}
 
 
+# -- reference: projector images and exact ranks (small cases only) ------
+
+
+def _rref(rows):
+    """Dense reduced row echelon form; returns (nonzero rows, pivots)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _rank(rows):
+    return len(_rref(rows)[0])
+
+
+def _constraint_subspace_basis(spec):
+    """Exact basis of the nullspace of the constraint rows."""
+    n = spec.box_count
+    rref_rows, pivots = _rref(spec.constraints)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row, p in zip(rref_rows, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _projector_multiplicities(spec):
+    """The sign-weighted group sum of each character applied to a basis
+    of the deviation space; the multiplicity is the image's rank."""
+    basis = _constraint_subspace_basis(spec)
+    group = _group_perms(spec)
+    n = spec.box_count
+    mult = {}
+    for chi_mask in range(1 << spec.m):
+        images = []
+        for v in basis:
+            acc = [Fraction(0)] * n
+            for g_mask, perm in enumerate(group):
+                if (g_mask & chi_mask).bit_count() & 1:
+                    for b in range(n):
+                        acc[b] -= v[perm[b]]
+                else:
+                    for b in range(n):
+                        acc[b] += v[perm[b]]
+            images.append(acc)
+        chi = tuple((chi_mask >> i) & 1 for i in range(spec.m))
+        mult[chi] = _rank(images)
+    return CharacterTable(spec.m, mult, len(basis))
+
+
 def test_small_case_dimensions():
     # d=2 analogue: l=2 parallel cuts, one extra hyperplane, 6 boxes, dim 2
     spec = build_test_representation(2, 2)
     assert spec.box_count == 6
-    assert len(constraint_subspace_basis(spec)) == 2
+    assert len(_constraint_subspace_basis(spec)) == 2
 
 
 @pytest.mark.parametrize("m,l", [(2, 1), (2, 4), (3, 2), (3, 5), (4, 3)])
 def test_generic_dimension_formula(m, l):
     spec = build_test_representation(m, l)
     dim = (2 ** (m - 1) - 1) * (l + 1) - (m - 1)
-    assert len(constraint_subspace_basis(spec)) == dim
+    assert len(_constraint_subspace_basis(spec)) == dim
     assert character_multiplicities(spec).total_dim == dim
+
+
+def test_traces_match_projector_reference():
+    for m, l in CRITERION_5_CASES:
+        spec = build_test_representation(m, l)
+        assert character_multiplicities(spec) == \
+            _projector_multiplicities(spec), (m, l)
 
 
 @pytest.mark.parametrize("m,l", [(2, 3), (3, 4), (4, 2)])
@@ -58,6 +142,8 @@ def test_validation_rejects_non_invariant_constraints():
                      (tuple(row),) + spec.constraints[1:])
     with pytest.raises(ValueError, match="invariant"):
         validate_action_spec(bad)
+    with pytest.raises(ValueError, match="invariant"):
+        character_multiplicities(bad)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -102,6 +188,14 @@ def test_oracle_equivalence_grid():
         assert index_polynomial(spec, table) == criterion_polynomial(4, l)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_oracle_equivalence_m5(l):
+    spec = build_test_representation(5, l)
+    table = character_multiplicities(spec)
+    assert table.multiplicities[(0,) * 5] == 0
+    assert index_polynomial(spec, table) == criterion_polynomial(5, l)
+
+
 def test_unconstrained_action_has_fixed_vectors():
     # dropping the constraints leaves the all-ones fixed vector: FAILURE
     spec = build_test_representation(2, 2)
@@ -118,6 +212,17 @@ def test_resource_guards():
         build_test_representation(2, 0)
     with pytest.raises(ValueError):
         build_test_representation(6, 4096)
+
+
+@pytest.mark.parametrize("m,largest", [(2, 722), (6, 177)])
+def test_constraint_entry_guard(m, largest):
+    def entries(l):  # constraint rows x boxes
+        return (l + m) * (l + 1) * 2 ** (m - 1)
+
+    assert entries(largest) <= MAX_CONSTRAINT_ENTRIES < entries(largest + 1)
+    assert build_test_representation(m, largest).l == largest
+    with pytest.raises(ValueError, match="the largest l is %d$" % largest):
+        build_test_representation(m, largest + 1)
 
 
 def test_character_names():
