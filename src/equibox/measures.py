@@ -5,16 +5,21 @@ are normalized to total mass 1. A candidate partition is a Configuration
 (one parallel-family direction with l offsets plus m-1 single
 hyperplanes); box_mass_tensor returns the (l+1) x 2^(m-1) mass tensor.
 
-Boundary convention everywhere: a point exactly on a hyperplane counts
-toward the lower slab / the 0 side. Ties are measure-zero for generic
-data; the convention just makes reruns reproducible.
+Boundary convention for point clouds: a point exactly on a hyperplane
+counts toward the lower slab / the 0 side. Ties are measure-zero for
+generic data; the convention just makes reruns reproducible.
 
 Quantile backends differ by variant. Point clouds have a step CDF, so
 an exact quantile generally does not exist: the offset is the midpoint
 of the feasible interval and the per-slab mass error is bounded by the
-largest single weight. Grids get a continuous CDF by spreading each
-cell's mass uniformly over the cell's projected interval; offsets are
-found by bisection to |mass error| <= 1e-10.
+largest single weight.
+
+Grids have one model: along a direction w, each cell's mass is spread
+uniformly over its projected interval c.w +- |w|.h / 2 (_cell_intervals).
+The quantile CDF is then continuous, so offsets are found by bisection
+to |mass error| <= 1e-10, and a box takes from each cell its mass times
+its fractions between the box's hyperplanes, so the tensor's slab and
+halving sums hold to that tolerance for every direction.
 """
 
 import csv
@@ -380,21 +385,26 @@ def _plateau_quantile_offsets(proj, weights, targets):
     return np.asarray(offsets)
 
 
+def _cell_intervals(grid, w):
+    """Lower ends (N,) and common width of the cells' projections onto w,
+    in cell_centers order."""
+    centers, _ = grid.cell_centers()
+    width = float(np.abs(w) @ grid.spacing)
+    return centers @ w - 0.5 * width, width
+
+
 class ProjectedGridCDF:
     """Continuous CDF of a grid measure projected onto a direction.
 
-    Each cell's mass is spread uniformly over the projection of the cell
-    onto the direction (the interval center +- sum_i |u_i| h_i / 2), which
-    makes the CDF piecewise linear and strictly increasing across the
-    support, so bisection can hit any target mass."""
+    Each cell's mass is spread uniformly over its projected interval
+    (_cell_intervals), which makes the CDF piecewise linear and strictly
+    increasing across the support, so bisection can hit any target mass."""
 
     def __init__(self, grid, u):
-        centers, masses = grid.cell_centers()
-        mid = centers @ u
-        r = 0.5 * float(np.abs(u) @ grid.spacing)
-        a, b = mid - r, mid + r
-        slope = masses / (b - a)
-        xs = np.concatenate([a, b])
+        _, masses = grid.cell_centers()
+        a, width = _cell_intervals(grid, u)
+        slope = masses / width
+        xs = np.concatenate([a, a + width])
         ds = np.concatenate([slope, -slope])
         di = np.concatenate([-slope * a, masses + slope * a])
         order = np.argsort(xs, kind="stable")
@@ -410,12 +420,12 @@ class ProjectedGridCDF:
             return float(self.icept_cum[-1] + self.slope_cum[-1] * t)
         return float(self.slope_cum[k] * t + self.icept_cum[k])
 
-    def quantile(self, target, tol=GRID_QUANTILE_TOL):
+    def quantile(self, target):
         lo, hi = float(self.xs[0]), float(self.xs[-1])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             f = self.value(mid)
-            if abs(f - target) <= tol:
+            if abs(f - target) <= GRID_QUANTILE_TOL:
                 return mid
             if f < target:
                 lo = mid
@@ -453,34 +463,25 @@ def _classify(points, masses, config):
     return tensor.reshape(l + 1, 2 ** (m - 1))
 
 
-def _classify_fractional(points, masses, config, half_widths):
-    """Box tensor of axis-aligned boxes of the given half-widths, with a
-    box's mass split linearly over its projected interval per hyperplane
-    (the same smear the grid quantile CDF uses). Boxes clear of every
-    hyperplane saturate the clip and reduce to center classification.
-    """
+def _spread_cells(grid, config):
+    """Box tensor of a grid: every cell adds its mass times its fraction
+    in the slab times its fraction on each side of every extra hyperplane,
+    all read off the cells' projected intervals."""
     l, m = config.l, config.m
-    r_u = 0.5 * float(np.abs(config.u) @ half_widths) * 2.0
-    proj = points @ config.u
-    a, width = proj - r_u, 2.0 * r_u
-    cdf_at = [np.zeros(len(points))]
-    for t in config.parallel_offsets:
-        cdf_at.append(np.clip((t - a) / width, 0.0, 1.0))
-    cdf_at.append(np.ones(len(points)))
-    slab_frac = np.stack(
-        [cdf_at[i + 1] - cdf_at[i] for i in range(l + 1)], axis=1
-    )
+    _, masses = grid.cell_centers()
+    a, width = _cell_intervals(grid, config.u)
+    below_cut = np.clip((config.parallel_offsets[:, None] - a) / width, 0.0, 1.0)
+    slab_frac = np.diff(below_cut, axis=0, prepend=0.0, append=1.0)
     below = []
-    for j in range(m - 1):
-        r_v = 0.5 * float(np.abs(config.extra_dirs[j]) @ half_widths) * 2.0
-        pj = points @ config.extra_dirs[j]
-        below.append(np.clip((config.extra_offsets[j] - (pj - r_v)) / (2 * r_v), 0.0, 1.0))
+    for v, c in zip(config.extra_dirs, config.extra_offsets):
+        lo, v_width = _cell_intervals(grid, v)
+        below.append(np.clip((c - lo) / v_width, 0.0, 1.0))
     tensor = np.zeros((l + 1, 2 ** (m - 1)))
     for bits in range(2 ** (m - 1)):
         side = masses.copy()
         for j in range(m - 1):
             side *= (1.0 - below[j]) if bits >> j & 1 else below[j]
-        tensor[:, bits] = slab_frac.T @ side
+        tensor[:, bits] = slab_frac @ side
     return tensor
 
 
@@ -488,37 +489,15 @@ def box_mass_tensor(measure, config):
     """Mass of every box of the configuration.
 
     Point clouds are classified exactly (boundary to the lower/0 side).
-    Grid cells are classified by cell center; cells crossed by any
-    hyperplane get one level of 2^d subcell refinement, and each subcell
-    mass is split linearly along every crossing hyperplane so the slab
-    sums stay consistent with the quantile CDF model.
+    Grid cells are spread over their projected intervals, the model the
+    quantile CDF uses: a box gets each cell's mass times the cell's
+    fraction between the box's hyperplanes.
     """
     if config.dim != measure.dim:
         raise ValueError("configuration dimension does not match measure")
     if measure.kind == "point_cloud":
         return _classify(measure.points, measure.weights, config)
-
-    centers, masses = measure.cell_centers()
-    d = measure.dim
-    planes = [(config.u, t) for t in config.parallel_offsets]
-    planes += list(zip(config.extra_dirs, config.extra_offsets))
-    crossed = np.zeros(len(centers), dtype=bool)
-    for w, c in planes:
-        r = 0.5 * float(np.abs(w) @ measure.spacing)
-        crossed |= np.abs(centers @ w - c) <= r
-    tensor = _classify(centers[~crossed], masses[~crossed], config)
-
-    if crossed.any():
-        corners = np.array(
-            [[(1 if k >> i & 1 else -1) for i in range(d)] for k in range(1 << d)],
-            dtype=float,
-        ) * (measure.spacing / 4.0)
-        sub = (centers[crossed][:, None, :] + corners[None, :, :]).reshape(-1, d)
-        sub_mass = np.repeat(masses[crossed] / (1 << d), 1 << d)
-        tensor = tensor + _classify_fractional(
-            sub, sub_mass, config, measure.spacing / 4.0
-        )
-    return tensor
+    return _spread_cells(measure, config)
 
 
 def complete_configuration(measure, u, extra_dirs, l):

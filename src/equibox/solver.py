@@ -41,7 +41,8 @@ FAILURE_NOTE = (
 @dataclass
 class DeviationTensor:
     """Box masses minus the uniform target, with its residual norms and
-    the constraint residuals that are ~0 by construction."""
+    the constraint residuals (slab and halving sums), which are zero up to
+    the quantile tolerance by construction."""
 
     values: np.ndarray
     target: float
@@ -122,7 +123,7 @@ def _is_collinear(dirs):
     return False
 
 
-def _angle_grid_starts(measure, l, m, n, evaluate):
+def _angle_grid_starts(m, n, evaluate):
     """Exhaustive coarse seeding over angle combinations (d=2 only).
 
     Directions are identified with their negatives by the tensor's
@@ -137,6 +138,11 @@ def _angle_grid_starts(measure, l, m, n, evaluate):
     return [x for _, _, x in scored[:3]]
 
 
+def _check_tol(tol):
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number, got %r" % tol)
+
+
 def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
                         coarse_grid=0, maxfev=None):
     """Multi-start search for a configuration with residual_max <= tol.
@@ -144,8 +150,9 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     Deterministic for fixed (measure, options, seed). Collinear
     direction pairs are tolerated during the search but a converged
     configuration flagged collinear is reported degenerate, not
-    accepted. Point-cloud tolerances below the quantization floor
-    (3 * max weight) are rejected.
+    accepted. A tol that is not a finite positive number, maxfev < 1,
+    coarse_grid < 0 and point-cloud tolerances below the quantization
+    floor (3 * max weight) are rejected up front.
     """
     d = measure.dim
     if not 2 <= m <= 6:
@@ -154,6 +161,11 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         raise ValueError("l must be >= 1")
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
+    _check_tol(tol)
+    if maxfev is not None and maxfev < 1:
+        raise ValueError("maxfev must be >= 1, got %d" % maxfev)
+    if coarse_grid < 0:
+        raise ValueError("coarse_grid must be >= 0, got %d" % coarse_grid)
     if measure.kind == "point_cloud":
         floor = 3.0 * measure.max_weight
         if tol < floor:
@@ -172,7 +184,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     rng = np.random.default_rng(seed)
     starts = []
     if coarse_grid and d == 2:
-        starts.extend(_angle_grid_starts(measure, l, m, coarse_grid, evaluate))
+        starts.extend(_angle_grid_starts(m, coarse_grid, evaluate))
 
     nm_options = {
         "maxfev": maxfev if maxfev is not None else 400 * m * d,
@@ -247,6 +259,7 @@ class VerificationReport:
 
 def verify_configuration(measure, config, tol):
     """Recompute all box masses from scratch and gate on max |mass - rho|."""
+    _check_tol(tol)
     tensor = box_mass_tensor(measure, config)
     target = rho(config.l, config.m)
     max_dev = float(np.abs(tensor - target).max())

@@ -151,6 +151,36 @@ def test_solve_missing_input_is_error(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--tol", "-1"),
+    ("solve", "--tol", "nan"),
+    ("solve", "--maxfev", "0"),
+    ("solve", "--maxfev", "-3"),
+    ("solve", "--coarse-grid", "-2"),
+    ("verify", "--tol", "nan"),
+])
+def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
+                                            value):
+    # a grid, so that no point-cloud tolerance floor intervenes
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],
+                                   "spacing": [0.5, 0.5], "shape": [2, 2],
+                                   "data": [1, 2, 3, 4]}))
+    argv = [command, "--input", str(measure), flag, value]
+    if command == "solve":
+        argv += ["--l", "1", "--m", "2", "--restarts", "2"]
+        argv += ["--tol", "0.1"] if flag != "--tol" else []
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]],
+                                      "parallel_offsets": [0.5],
+                                      "extra_offsets": [0.5]}))
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
+
+
 @pytest.mark.parametrize("argv", [
     ("min-d", "--m", "2", "--l", "100000"),
     ("certify", "--m", "2", "--l", "100000", "--d", "3"),

@@ -191,6 +191,32 @@ def test_cloud_tensor_matches_per_point_scan():
     assert np.array_equal(got, expect)
 
 
+def test_grid_tensor_matches_per_cell_spread():
+    rng = np.random.default_rng(17)
+    g = GridDensity([-1.0, 0.5], [0.3, 0.2], rng.uniform(0.1, 1.0, (12, 12)))
+    u, extra = _random_config(rng, 2, 2, 3)
+    cfg = complete_configuration(g, u, extra, 2)
+    got = box_mass_tensor(g, cfg)
+    # oracle: spread every cell uniformly over c.w +- |w|.h/2 on its own
+    centers, masses = g.cell_centers()
+
+    def below(c, w, t):
+        width = np.abs(w) @ g.spacing
+        return min(max((t - (c @ w - width / 2)) / width, 0.0), 1.0)
+
+    expect = np.zeros_like(got)
+    for c, mass in zip(centers, masses):
+        cuts = [0.0] + [below(c, cfg.u, t) for t in cfg.parallel_offsets] + [1.0]
+        for bits in range(4):
+            side = mass
+            for j in range(2):
+                f = below(c, cfg.extra_dirs[j], cfg.extra_offsets[j])
+                side *= 1.0 - f if bits >> j & 1 else f
+            for slab in range(3):
+                expect[slab, bits] += side * (cuts[slab + 1] - cuts[slab])
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-14)
+
+
 def test_boundary_point_goes_to_lower_side():
     pc = PointCloud(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
     cfg = Configuration([1.0], np.zeros((0, 1)), np.array([1.0]), [])

@@ -48,6 +48,18 @@ def test_map_slab_sums_definitional():
     assert np.abs(dt.halving_sums).max() <= pc.max_weight + 1e-12
 
 
+def test_map_grid_constraints_hold_for_oblique_directions():
+    from equibox.measures import gaussian_mixture_grid
+    g = gaussian_mixture_grid(2, 3, 64, seed=7)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        dirs = rng.standard_normal((3, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dt = eval_test_map(g, dirs[0], dirs[1:], 2)
+        assert np.abs(dt.slab_sums).max() <= 1e-9
+        assert np.abs(dt.halving_sums).max() <= 1e-9
+
+
 def test_map_asymmetric_blobs_far_from_zero():
     g = _two_blob_grid()
     dt = eval_test_map(g, np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), 2)
