@@ -135,14 +135,6 @@ def min_dimension(m, l):
     return 1 + min(crit.max_exponents())
 
 
-def min_dimension_incremental(m, l, d_cap=4096):
-    """Same value found by certifying d = 1, 2, ...; the slow cross-check."""
-    for d in range(1, d_cap + 1):
-        if certify(m, l, d).verdict == CERTIFIED:
-            return d
-    raise RuntimeError("no certified dimension below %d" % d_cap)
-
-
 def equipartition_table(m, l_max):
     """Rows (l, min_dimension(m, l)) for l = 2..l_max."""
     cap = _TABLE_LMAX_CAP.get(m)

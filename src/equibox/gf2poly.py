@@ -313,24 +313,3 @@ class PolyGF2:
     def __repr__(self):
         return "PolyGF2(%d, %s)" % (self.nvars, self.to_text())
 
-
-# spec-facing operation names
-
-def poly_add(a, b):
-    return a + b
-
-
-def poly_mul(a, b):
-    return a * b
-
-
-def poly_pow(p, e):
-    return p ** e
-
-
-def divide_by_monomial(p, exponents):
-    return p.divide_by_monomial(exponents)
-
-
-def coefficient(p, exponents):
-    return p.coefficient(exponents)

@@ -16,10 +16,12 @@ largest single weight.
 
 Grids have one model: along a direction w, each cell's mass is spread
 uniformly over its projected interval c.w +- |w|.h / 2 (_cell_intervals).
-The quantile CDF is then continuous, so offsets are found by bisection
-to |mass error| <= 1e-10, and a box takes from each cell its mass times
-its fractions between the box's hyperplanes, so the tensor's slab and
-halving sums hold to that tolerance for every direction.
+Every cell's interval has the same width |w|.h, so the quantile CDF needs
+one sort of the N lower ends and two prefix sums over them (mass and
+mass times lower end); it is continuous, so offsets are found by
+bisection to |mass error| <= 1e-10. A box takes from each cell its mass
+times its fractions between the box's hyperplanes, so the tensor's slab
+and halving sums hold to that tolerance for every direction.
 """
 
 import csv
@@ -397,31 +399,32 @@ class ProjectedGridCDF:
     """Continuous CDF of a grid measure projected onto a direction.
 
     Each cell's mass is spread uniformly over its projected interval
-    (_cell_intervals), which makes the CDF piecewise linear and strictly
-    increasing across the support, so bisection can hit any target mass."""
+    [a, a + w] (_cell_intervals). All cells share the width w, so a cell
+    lies wholly below t iff a <= t - w and partly below t iff
+    t - w < a <= t. One sort of the lower ends a and two prefix sums over
+    that order, M of mass and S of mass * a, then give
+
+        F(t) = M(t - w) + [t (M(t) - M(t - w)) - (S(t) - S(t - w))] / w,
+
+    which is piecewise linear and strictly increasing across the support,
+    so bisection can hit any target mass."""
 
     def __init__(self, grid, u):
         _, masses = grid.cell_centers()
-        a, width = _cell_intervals(grid, u)
-        slope = masses / width
-        xs = np.concatenate([a, a + width])
-        ds = np.concatenate([slope, -slope])
-        di = np.concatenate([-slope * a, masses + slope * a])
-        order = np.argsort(xs, kind="stable")
-        self.xs = xs[order]
-        self.slope_cum = np.cumsum(ds[order])
-        self.icept_cum = np.cumsum(di[order])
+        a, self.width = _cell_intervals(grid, u)
+        order = np.argsort(a, kind="stable")
+        self.a, masses = a[order], masses[order]
+        self.mass_cum = np.concatenate(([0.0], np.cumsum(masses)))
+        self.moment_cum = np.concatenate(([0.0], np.cumsum(masses * self.a)))
 
     def value(self, t):
-        k = int(np.searchsorted(self.xs, t, side="right")) - 1
-        if k < 0:
-            return 0.0
-        if k >= len(self.xs) - 1:
-            return float(self.icept_cum[-1] + self.slope_cum[-1] * t)
-        return float(self.slope_cum[k] * t + self.icept_cum[k])
+        i, j = np.searchsorted(self.a, (t - self.width, t), side="right")
+        inside = self.mass_cum[j] - self.mass_cum[i]
+        moment = self.moment_cum[j] - self.moment_cum[i]
+        return float(self.mass_cum[i] + (t * inside - moment) / self.width)
 
     def quantile(self, target):
-        lo, hi = float(self.xs[0]), float(self.xs[-1])
+        lo, hi = float(self.a[0]), float(self.a[-1] + self.width)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             f = self.value(mid)

@@ -6,7 +6,10 @@ extra hyperplanes), so a candidate is a point of (S^(d-1))^m. The
 objective is the l2 norm of the deviation tensor; convergence is gated
 on the max-norm. Multi-start derivative-free descent (Nelder-Mead on
 raw vectors, re-projected to unit length at every evaluation) with an
-optional exhaustive coarse angle grid for d=2 seeds.
+optional exhaustive coarse angle grid for d=2 seeds. The coarse grid
+evaluates all n^m angle combinations, so it is refused for d != 2 and
+for n^m above COARSE_GRID_MAX_COMBOS (4096: n <= 64 at m=2, 16 at m=3,
+8 at m=4, 5 at m=5 and 4 at m=6).
 
 Existence in the certified regime is guaranteed; finding the zero is
 not. NOT_CONVERGED in a certified regime indicates solver failure, not
@@ -31,6 +34,7 @@ CONVERGED = "CONVERGED"
 NOT_CONVERGED = "NOT_CONVERGED"
 
 COLLINEAR_TOL = 1e-9
+COARSE_GRID_MAX_COMBOS = 4096
 UNCERTIFIED_NOTE = "uncertified regime"
 FAILURE_NOTE = (
     "NOT_CONVERGED in a certified regime indicates solver failure, "
@@ -138,6 +142,21 @@ def _angle_grid_starts(m, n, evaluate):
     return [x for _, _, x in scored[:3]]
 
 
+def _check_coarse_grid(n, m, d):
+    if n < 0:
+        raise ValueError("coarse_grid must be >= 0, got %d" % n)
+    if n and d != 2:
+        raise ValueError("coarse_grid needs a planar measure (d=2), got d=%d" % d)
+    if n ** m > COARSE_GRID_MAX_COMBOS:
+        largest = 1
+        while (largest + 1) ** m <= COARSE_GRID_MAX_COMBOS:
+            largest += 1
+        raise ValueError(
+            "coarse_grid=%d asks for %d angle combinations at m=%d, above %d; "
+            "the largest coarse_grid is %d"
+            % (n, n ** m, m, COARSE_GRID_MAX_COMBOS, largest))
+
+
 def _check_tol(tol):
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number, got %r" % tol)
@@ -151,8 +170,9 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     direction pairs are tolerated during the search but a converged
     configuration flagged collinear is reported degenerate, not
     accepted. A tol that is not a finite positive number, maxfev < 1,
-    coarse_grid < 0 and point-cloud tolerances below the quantization
-    floor (3 * max weight) are rejected up front.
+    a coarse_grid that is negative, set for d != 2 or above
+    COARSE_GRID_MAX_COMBOS combinations, and point-cloud tolerances below
+    the quantization floor (3 * max weight) are rejected up front.
     """
     d = measure.dim
     if not 2 <= m <= 6:
@@ -164,8 +184,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     _check_tol(tol)
     if maxfev is not None and maxfev < 1:
         raise ValueError("maxfev must be >= 1, got %d" % maxfev)
-    if coarse_grid < 0:
-        raise ValueError("coarse_grid must be >= 0, got %d" % coarse_grid)
+    _check_coarse_grid(coarse_grid, m, d)
     if measure.kind == "point_cloud":
         floor = 3.0 * measure.max_weight
         if tol < floor:
@@ -183,7 +202,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
 
     rng = np.random.default_rng(seed)
     starts = []
-    if coarse_grid and d == 2:
+    if coarse_grid:
         starts.extend(_angle_grid_starts(m, coarse_grid, evaluate))
 
     nm_options = {

@@ -13,10 +13,18 @@ from equibox.certifier import (
     equipartition_table,
     in_monomial_ideal,
     min_dimension,
-    min_dimension_incremental,
 )
 from equibox.dickson import dickson_product
 from equibox.gf2poly import PolyGF2
+
+
+def min_dimension_incremental(m, l, d_cap=4096):
+    """The least certified d found by certifying d = 1, 2, ...; the slow
+    reference for min_dimension."""
+    for d in range(1, d_cap + 1):
+        if certify(m, l, d).verdict == CERTIFIED:
+            return d
+    raise RuntimeError("no certified dimension below %d" % d_cap)
 
 
 def _xy():

@@ -181,6 +181,24 @@ def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
     assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("shape,options,message", [
+    ([2, 2], ("--m", "6", "--coarse-grid", "30"), "largest coarse_grid is 4"),
+    ([2, 2], ("--m", "2", "--coarse-grid", "65"), "largest coarse_grid is 64"),
+    ([2, 2, 2], ("--m", "2", "--coarse-grid", "8"), "got d=3"),
+], ids=["m6-n30", "m2-n65", "3d"])
+def test_unusable_coarse_grid_is_error(tmp_path, capsys, shape, options,
+                                       message):
+    # refused before any angle combination is built or evaluated
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": len(shape), "origin": [0] * len(shape),
+                                   "spacing": [0.5] * len(shape), "shape": shape,
+                                   "data": list(range(1, 2 ** len(shape) + 1))}))
+    code, out, err = run(capsys, "solve", "--input", str(measure), "--l", "1",
+                         "--tol", "0.1", "--restarts", "2", *options)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "coarse_grid" in err and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("min-d", "--m", "2", "--l", "100000"),
     ("certify", "--m", "2", "--l", "100000", "--d", "3"),

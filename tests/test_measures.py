@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from equibox.measures import (
+    GRID_QUANTILE_TOL,
     Configuration,
     GridDensity,
     MeasureFormatError,
     PointCloud,
+    ProjectedGridCDF,
     box_mass_tensor,
     complete_configuration,
     direction_quantiles,
@@ -142,6 +144,35 @@ def test_grid_quantiles_reproduce_slab_masses():
     cfg = Configuration(u, np.zeros((0, 2)), offs, [])
     slabs = box_mass_tensor(g, cfg).ravel()
     assert np.abs(slabs - 0.25).max() <= 1e-4
+
+
+@pytest.mark.parametrize("d, cells", [(2, 24), (3, 7)])
+@pytest.mark.parametrize("axis_aligned", [False, True],
+                         ids=["random-dir", "axis-dir"])
+def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
+    rng = np.random.default_rng(10 * d + axis_aligned)
+    g = GridDensity(rng.uniform(-1, 1, d), rng.uniform(0.1, 0.4, d),
+                    rng.uniform(0.0, 1.0, (cells,) * d))
+    centers, masses = g.cell_centers()
+    for _ in range(3):
+        if axis_aligned:  # whole rows of cells share one lower end
+            u = np.zeros(d)
+            u[rng.integers(d)] = rng.choice([-1.0, 1.0])
+        else:
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+        cdf = ProjectedGridCDF(g, u)
+        # oracle: each cell's mass spread uniformly over c.u +- |u|.h/2
+        width = np.abs(u) @ g.spacing
+        lower = centers @ u - width / 2
+        lo, hi = lower.min(), lower.max() + width
+        ts = np.concatenate([[lo - 1.0, lo, hi, hi + 1.0],
+                             rng.uniform(lo, hi, 40)])
+        for t in ts:
+            expect = masses @ np.clip((t - lower) / width, 0.0, 1.0)
+            assert abs(cdf.value(t) - expect) <= 1e-12
+        for q in np.concatenate([[1e-6, 0.5, 1 - 1e-6], rng.uniform(0, 1, 10)]):
+            assert abs(cdf.value(cdf.quantile(q)) - q) <= GRID_QUANTILE_TOL
 
 
 def test_degenerate_direction_rejected():
