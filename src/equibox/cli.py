@@ -78,7 +78,8 @@ def _build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=200)
     s.add_argument("--coarse-grid", type=int, default=0, dest="coarse_grid")
-    s.add_argument("--maxfev", type=int, default=None)
+    s.add_argument("--maxfev", type=int, default=None,
+                   help="test_map evaluations per restart")
     s.add_argument("--out", default=None, help="also write the report here")
 
     v = sub.add_parser("verify", help="recheck a configuration from scratch")

@@ -84,6 +84,8 @@ class GridDensity:
         spacing = np.asarray(spacing, dtype=float)
         cells = np.asarray(cells, dtype=float)
         d = cells.ndim
+        if d == 0:
+            raise MeasureFormatError("grid needs at least one axis")
         if origin.shape != (d,) or spacing.shape != (d,):
             raise MeasureFormatError("origin/spacing must match grid dimension")
         if np.any(spacing <= 0):
@@ -265,6 +267,9 @@ class Configuration:
         extra_dirs = np.asarray(extra_dirs, dtype=float)
         parallel_offsets = np.asarray(parallel_offsets, dtype=float)
         extra_offsets = np.asarray(extra_offsets, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in
+                   (u, extra_dirs, parallel_offsets, extra_offsets)):
+            raise ValueError("configuration values must be finite")
         if extra_dirs.ndim != 2 or extra_dirs.shape[1] != u.shape[0]:
             raise ValueError("extra_dirs must be (m-1) x d")
         if extra_offsets.shape != (extra_dirs.shape[0],):

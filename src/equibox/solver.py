@@ -2,14 +2,27 @@
 
 The search space is directions only: offsets are always eliminated
 analytically (quantiles along the parallel direction, medians for the
-extra hyperplanes), so a candidate is a point of (S^(d-1))^m. The
-objective is the l2 norm of the deviation tensor; convergence is gated
-on the max-norm. Multi-start derivative-free descent (Nelder-Mead on
-raw vectors, re-projected to unit length at every evaluation) with an
-optional exhaustive coarse angle grid for d=2 seeds. The coarse grid
-evaluates all n^m angle combinations, so it is refused for d != 2 and
-for n^m above COARSE_GRID_MAX_COMBOS (4096: n <= 64 at m=2, 16 at m=3,
-8 at m=4, 5 at m=5 and 4 at m=6).
+extra hyperplanes), so a candidate is a point of (S^(d-1))^m, held as m
+raw d-vectors that are re-projected to unit length at every evaluation.
+
+Each restart is a trust-region reflective least-squares solve
+(scipy.optimize.least_squares, method "trf"; Branch, Coleman & Li 1999)
+on the deviation vector, the flattened (l+1) x 2^(m-1) tensor of box
+masses minus the uniform target. Its Jacobian is a 2-point finite
+difference with the relative step DIFF_STEP = 1e-2: a point cloud's map
+is a step function with steps about 1/N high, so the step must span many
+points, and the same step works on the continuous grid map. A restart
+ends at the first evaluation, Jacobian probes included, whose max-norm
+residual is within tol with non-collinear directions; that evaluation is
+the result, not re-evaluated. Otherwise it ends after maxfev test_map
+evaluations or when least_squares stops on its own tolerances, and its
+best evaluation becomes the restart's candidate.
+
+Restarts begin at deterministic seeded random points, or for d=2 first
+at the three best combinations of an optional exhaustive coarse angle
+grid. The coarse grid evaluates all n^m angle combinations, so it is
+refused for d != 2 and for n^m above COARSE_GRID_MAX_COMBOS (4096:
+n <= 64 at m=2, 16 at m=3, 8 at m=4, 5 at m=5 and 4 at m=6).
 
 Existence in the certified regime is guaranteed; finding the zero is
 not. NOT_CONVERGED in a certified regime indicates solver failure, not
@@ -20,7 +33,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from equibox import certifier
 from equibox.measures import (
@@ -34,12 +47,16 @@ CONVERGED = "CONVERGED"
 NOT_CONVERGED = "NOT_CONVERGED"
 
 COLLINEAR_TOL = 1e-9
+DIFF_STEP = 1e-2
 COARSE_GRID_MAX_COMBOS = 4096
 UNCERTIFIED_NOTE = "uncertified regime"
 FAILURE_NOTE = (
     "NOT_CONVERGED in a certified regime indicates solver failure, "
     "not a counterexample"
 )
+
+# bound under this name because perfbench's traced run patches solver.minimize
+minimize = least_squares
 
 
 @dataclass
@@ -91,6 +108,8 @@ class SolveReport:
     certified_regime: bool
     degenerate: bool
     note: str
+    evaluations: int
+    restart_evaluations: list
 
     def to_dict(self):
         return {
@@ -104,6 +123,8 @@ class SolveReport:
             "certified_regime": self.certified_regime,
             "degenerate": self.degenerate,
             "note": self.note,
+            "evaluations": self.evaluations,
+            "restart_evaluations": self.restart_evaluations,
         }
 
     def to_json(self):
@@ -162,13 +183,72 @@ def _check_tol(tol):
         raise ValueError("tol must be a finite positive number, got %r" % tol)
 
 
+class _StopRestart(Exception):
+    """Raised from the residual function to end one restart's search."""
+
+
+def _better(cand, best):
+    """Candidate ordering over (DeviationTensor, degenerate) pairs: a
+    non-collinear candidate beats a collinear one, the lower residual_l2
+    wins among non-collinear ones (the earlier on ties), and a collinear
+    candidate wins only over none."""
+    if best is None:
+        return True
+    if cand[1]:
+        return False
+    return best[1] or cand[0].residual_l2 < best[0].residual_l2
+
+
+def _accepted(cand, tol):
+    """Whether a (DeviationTensor, degenerate) pair ends the search."""
+    return not cand[1] and cand[0].residual_max <= tol
+
+
+def _local_search(measure, l, m, x0, tol, maxfev):
+    """One least-squares restart from x0.
+
+    Returns (candidate, evaluations). The candidate is the first accepted
+    evaluation, which stops the search at once, or else the restart's best
+    (DeviationTensor, degenerate) pair; None if every evaluation collapsed
+    a direction."""
+    d = measure.dim
+    collapsed = np.ones((l + 1) << (m - 1))
+    best = None
+    evals = 0
+
+    def residuals(x):
+        nonlocal best, evals
+        dirs = _normalize_blocks(x, m, d)
+        if dirs is None:
+            return collapsed
+        if evals == maxfev:
+            raise _StopRestart
+        evals += 1
+        dt = test_map(measure, dirs[0], dirs[1:], l)
+        cand = (dt, _is_collinear(dirs))
+        if _accepted(cand, tol):
+            best = cand
+            raise _StopRestart
+        if _better(cand, best):
+            best = cand
+        return dt.values.ravel()
+
+    try:
+        minimize(residuals, x0, method="trf", jac="2-point",
+                 diff_step=DIFF_STEP, max_nfev=maxfev)
+    except _StopRestart:
+        pass
+    return best, evals
+
+
 def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
                         coarse_grid=0, maxfev=None):
     """Multi-start search for a configuration with residual_max <= tol.
 
-    Deterministic for fixed (measure, options, seed). Collinear
-    direction pairs are tolerated during the search but a converged
-    configuration flagged collinear is reported degenerate, not
+    Deterministic for fixed (measure, options, seed). maxfev caps the
+    test_map evaluations of each restart (default 400 * m * d). Collinear
+    direction pairs are tolerated during the search but never end it, and
+    a best configuration flagged collinear is reported degenerate, not
     accepted. A tol that is not a finite positive number, maxfev < 1,
     a coarse_grid that is negative, set for d != 2 or above
     COARSE_GRID_MAX_COMBOS combinations, and point-cloud tolerances below
@@ -193,51 +273,41 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
                 "(3 * max weight)" % (tol, floor)
             )
     certified = certifier.certify(m, l, d).verdict == certifier.CERTIFIED
+    if maxfev is None:
+        maxfev = 400 * m * d
 
-    def evaluate(x):
-        dirs = _normalize_blocks(np.asarray(x, dtype=float), m, d)
-        if dirs is None:
-            return 1e6
+    def seed_score(x):
+        dirs = _normalize_blocks(x, m, d)
         return test_map(measure, dirs[0], dirs[1:], l).residual_l2
 
     rng = np.random.default_rng(seed)
     starts = []
     if coarse_grid:
-        starts.extend(_angle_grid_starts(m, coarse_grid, evaluate))
+        starts.extend(_angle_grid_starts(m, coarse_grid, seed_score))
+    evaluations = coarse_grid ** m
 
-    nm_options = {
-        "maxfev": maxfev if maxfev is not None else 400 * m * d,
-        "xatol": 1e-9,
-        "fatol": 1e-14,
-        "adaptive": m * d > 6,
-    }
-
-    best = None  # (residual_l2, restart index, DeviationTensor, degenerate)
-    restarts_used = 0
+    best = None  # (DeviationTensor, degenerate)
+    restart_evaluations = []
     for restart in range(max_restarts):
         if restart < len(starts):
             x0 = starts[restart]
         else:
             x0 = rng.standard_normal(m * d)
-        restarts_used = restart + 1
-        result = minimize(evaluate, x0, method="Nelder-Mead", options=nm_options)
-        dirs = _normalize_blocks(result.x, m, d)
-        if dirs is None:
+        cand, evals = _local_search(measure, l, m, x0, tol, maxfev)
+        restart_evaluations.append(evals)
+        evaluations += evals
+        if cand is None:
             continue
-        dt = test_map(measure, dirs[0], dirs[1:], l)
-        degenerate = _is_collinear(dirs)
-        cand = (dt.residual_l2, restart, dt, degenerate)
-        if not degenerate and (best is None or best[3] or cand[:2] < best[:2]):
+        if _accepted(cand, tol):
             best = cand
-        elif best is None:
-            best = cand
-        if dt.residual_max <= tol and not degenerate:
             break
+        if _better(cand, best):
+            best = cand
 
     if best is None:
         raise RuntimeError("every restart collapsed to a degenerate direction")
-    _, _, dt, degenerate = best
-    converged = dt.residual_max <= tol and not degenerate
+    dt, degenerate = best
+    converged = _accepted(best, tol)
     note = "" if certified else UNCERTIFIED_NOTE
     if not converged and certified:
         note = FAILURE_NOTE
@@ -246,11 +316,13 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         config=dt.config,
         residual_max=dt.residual_max,
         residual_l2=dt.residual_l2,
-        restarts_used=restarts_used,
+        restarts_used=len(restart_evaluations),
         seed=seed,
         certified_regime=certified,
         degenerate=degenerate,
         note=note,
+        evaluations=evaluations,
+        restart_evaluations=restart_evaluations,
     )
 
 

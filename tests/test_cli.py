@@ -199,6 +199,16 @@ def test_unusable_coarse_grid_is_error(tmp_path, capsys, shape, options,
     assert err.count("\n") == 1 and "coarse_grid" in err and message in err
 
 
+def test_solve_zero_dimensional_grid_is_error(tmp_path, capsys):
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": 0, "origin": [], "spacing": [],
+                                   "shape": [], "data": [1.0]}))
+    code, out, err = run(capsys, "solve", "--input", str(measure), "--l", "1",
+                         "--m", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "at least one axis" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("min-d", "--m", "2", "--l", "100000"),
     ("certify", "--m", "2", "--l", "100000", "--d", "3"),
@@ -225,6 +235,23 @@ def test_verify_incomplete_config_is_error(tmp_path, capsys, config):
                          "--config", str(config_path), "--tol", "1e-3")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: configuration")
+
+
+@pytest.mark.parametrize("u,offset", [
+    ("[NaN, 0]", "0.5"), ("[1, 0]", "NaN"), ("[1, 0]", "null"),
+    ("[Infinity, 0]", "0.5"),
+], ids=["nan-u", "nan-offset", "null-offset", "inf-u"])
+def test_verify_nonfinite_config_is_error(tmp_path, capsys, u, offset):
+    measure = tmp_path / "m.csv"
+    measure.write_text("x1,x2,w\n0,0,1\n1,1,1\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"u": %s, "extra_dirs": [[0, 1]], '
+                           '"parallel_offsets": [0.5, 0.6], '
+                           '"extra_offsets": [%s]}' % (u, offset))
+    code, out, err = run(capsys, "verify", "--input", str(measure),
+                         "--config", str(config_path), "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert err == "error: configuration values must be finite\n"
 
 
 def test_cli_import_leaves_numerical_stack_unloaded():

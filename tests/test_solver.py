@@ -1,5 +1,7 @@
 """Test map, search, verification and determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,10 @@ def test_solve_deterministic_bytes():
     rep1 = solve_equipartition(g, 2, 2, **kwargs)
     rep2 = solve_equipartition(g, 2, 2, **kwargs)
     assert rep1.to_json() == rep2.to_json()
+    # the coarse grid seeds with all 4^2 angle combinations
+    out = json.loads(rep1.to_json())
+    assert len(out["restart_evaluations"]) == out["restarts_used"]
+    assert 4 ** 2 + sum(out["restart_evaluations"]) == out["evaluations"]
 
 
 def test_solve_uncertified_regime_marked():
@@ -169,6 +175,17 @@ def test_convergence_rate_over_20_seeded_mixtures():
                                   seed=seed, coarse_grid=6)
         converged += rep.status == CONVERGED
     assert converged == 20
+
+
+@pytest.mark.parametrize("measure_seed", range(11, 16))
+def test_cloud_solves_stay_cheap(measure_seed):
+    # criterion 8's problem on 20k points: a step-function map on which the
+    # search must still stop within a few hundred test_map evaluations
+    pc = gaussian_mixture_cloud(4, 3, 20000, seed=measure_seed)
+    rep = solve_equipartition(pc, 2, 3, tol=5e-3, max_restarts=50, seed=0)
+    assert rep.status == CONVERGED
+    assert verify_configuration(pc, rep.config, 5e-3).passed
+    assert rep.evaluations <= 1000
 
 
 def test_solver_option_validation():
