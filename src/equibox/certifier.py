@@ -8,6 +8,16 @@ Dickson-polynomial quotients and check it against the monomial ideal
 polynomial lies in the ideal iff every term is divisible by some xi^d.
 Non-membership is witnessed by a term with all exponents <= d-1.
 
+certify expands the whole criterion, so that the Certificate carries it.
+min_dimension and equipartition_table only ask whether some term has
+every exponent <= d-1, so they work in the truncated ring: they build the
+criterion by the same Frobenius squaring, but drop a term as soon as one
+of its exponents passes its cap (d-1, or d for x2..xm before the odd-l
+division by x2...xm). That is exact, because every factor has
+nonnegative exponents: a dropped term only ever yields terms past the
+cap, so the kept terms and their GF(2) coefficients are those of the full
+expansion.
+
 The criterion never proves impossibility: a failed test is INCONCLUSIVE.
 """
 
@@ -23,7 +33,12 @@ from equibox.gf2poly import EXP_MAX, PolyGF2, _grlex_key
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# table size guards, keyed by m: criterion degree grows like (2^m - 2) * l / 2
+# table size guards, keyed by m: the largest l_max equipartition_table
+# accepts. They bound the truncated products its search builds, which
+# grow with the criterion degree (2^m - 2) * l / 2: at the caps the
+# largest product before capping has 2.3e5 terms (m=6; the full m=6, l=6
+# criterion has 7.2e6) and the whole m=6 table takes about 0.5 s on a
+# 2-core x86-64 host.
 _TABLE_LMAX_CAP = {2: 128, 3: 64, 4: 32, 5: 12, 6: 6}
 
 
@@ -73,13 +88,9 @@ def _quotient_power(m, k):
     return half * _quotient_power(m, 1) if k & 1 else half
 
 
-@lru_cache(maxsize=None)
-def criterion_polynomial(m, l):
-    """The certificate polynomial for (m, l); nonzero and homogeneous.
-
-    Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
-    Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm)
-    """
+def _check_l(m, l):
+    """Validate (m, l); refuse an l whose criterion exponents would pass
+    EXP_MAX, naming the largest allowed l."""
     PartitionProblem(m, l)
     # exponents of (P_m/x1)^j reach j * 2^(m-1), and l needs j <= l//2 + 1
     l_limit = 2 * (EXP_MAX >> (m - 1)) - 1
@@ -87,12 +98,30 @@ def criterion_polynomial(m, l):
         raise ValueError(
             "l=%d is too large for m=%d: the criterion's exponents would "
             "exceed %d; the largest l is %d" % (l, m, EXP_MAX, l_limit))
-    rest = tuple(0 if i == 0 else 1 for i in range(m))  # x2*x3*...*xm
+
+
+def _rest(m):
+    """Exponents of x2*x3*...*xm."""
+    return (0,) + (1,) * (m - 1)
+
+
+def _even_factor(m):
+    """P_{m-1}(x2..xm) / (x2...xm), embedded in m variables."""
+    pm1 = PolyGF2(m, [(0,) + t for t in dickson_moore(m - 1).term_tuples()])
+    return pm1.divide_by_monomial(_rest(m))
+
+
+@lru_cache(maxsize=None)
+def criterion_polynomial(m, l):
+    """The certificate polynomial for (m, l); nonzero and homogeneous.
+
+    Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
+    Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm)
+    """
+    _check_l(m, l)
     if l % 2 == 0:
-        # P_{m-1} in the variables x2..xm, embedded in m variables
-        pm1 = PolyGF2(m, [(0,) + t for t in dickson_moore(m - 1).term_tuples()])
-        return pm1.divide_by_monomial(rest) * _quotient_power(m, l // 2)
-    return _quotient_power(m, l // 2 + 1).divide_by_monomial(rest)
+        return _even_factor(m) * _quotient_power(m, l // 2)
+    return _quotient_power(m, l // 2 + 1).divide_by_monomial(_rest(m))
 
 
 def in_monomial_ideal(p, d):
@@ -124,15 +153,72 @@ def certify(m, l, d):
     return Certificate(problem, crit, witness, verdict, note)
 
 
+def _criterion_degree(m, l):
+    """Degree of criterion_polynomial(m, l): P_m has degree 2^m - 1."""
+    if l % 2:
+        return (l // 2 + 1) * (2 ** m - 2) - (m - 1)
+    return l // 2 * (2 ** m - 2) + 2 ** (m - 1) - m
+
+
+class _Truncation:
+    """Criterion terms under exponent caps, for one min_dimension or
+    equipartition_table call: the capped powers it builds are shared by
+    every (l, d) of that call and go with it."""
+
+    def __init__(self, m):
+        self.m = m
+        self.even = _even_factor(m)
+        self.powers = {}  # (k, caps) -> capped (P_m / x1)^k
+
+    def power(self, k, caps):
+        """(P_m / x1)^k without its terms that pass caps, by the squaring
+        of _quotient_power: a squared term stays within caps iff the term
+        stays within caps // 2."""
+        key = (k, caps)
+        p = self.powers.get(key)
+        if p is None:
+            if k <= 1:
+                p = _quotient_power(self.m, k)._capped(caps)
+            else:
+                p = self.power(k >> 1, tuple(c >> 1 for c in caps))._squared()
+                if k & 1:
+                    p = (p * self.power(1, caps))._capped(caps)
+            self.powers[key] = p
+        return p
+
+    def criterion(self, l, d):
+        """The terms of criterion_polynomial(m, l) with every exponent <= d-1."""
+        m = self.m
+        if l % 2:
+            # the division by x2...xm lowers x2..xm by one afterwards
+            caps = (d - 1,) + (d,) * (m - 1)
+            return self.power(l // 2 + 1, caps).divide_by_monomial(_rest(m))
+        caps = (d - 1,) * m
+        return (self.even._capped(caps) * self.power(l // 2, caps))._capped(caps)
+
+    def min_dimension(self, l):
+        # the criterion is homogeneous, and a term of its degree with every
+        # exponent <= d-1 needs m(d-1) >= degree
+        d = 1 + -(-_criterion_degree(self.m, l) // self.m)
+        while not self.criterion(l, d):
+            d += 1
+        return d
+
+
 def min_dimension(m, l):
     """Least d for which certify(m, l, d) is CERTIFIED.
 
-    A term survives the ideal (x1^d..xm^d) iff its largest exponent is
-    <= d-1, so the least certified d is 1 + min over terms of the
-    per-term maximum exponent.
+    certify(m, l, d) holds iff the criterion has a term with every
+    exponent <= d-1, so the search works in the truncated ring: for
+    d = 1 + ceil(degree / m), d + 1, ... it builds only those terms
+    (_Truncation) and stops at the first d that leaves one. Dropping a
+    term is exact because no product can lower an exponent: a term past
+    a cap only ever yields terms past it, so the kept terms and their
+    GF(2) coefficients are those of the full expansion. The kept terms
+    only grow with d, so the first hit is the least d.
     """
-    crit = criterion_polynomial(m, l)
-    return 1 + min(crit.max_exponents())
+    _check_l(m, l)
+    return _Truncation(m).min_dimension(l)
 
 
 def equipartition_table(m, l_max):
@@ -142,4 +228,5 @@ def equipartition_table(m, l_max):
         raise ValueError("m must be in [2, %d]" % MAX_VARS)
     if not 2 <= l_max <= cap:
         raise ValueError("l_max for m=%d must be in [2, %d], got %r" % (m, cap, l_max))
-    return [(l, min_dimension(m, l)) for l in range(2, l_max + 1)]
+    trunc = _Truncation(m)
+    return [(l, trunc.min_dimension(l)) for l in range(2, l_max + 1)]

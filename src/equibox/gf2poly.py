@@ -239,6 +239,19 @@ class PolyGF2:
             keys.add(d)
         return PolyGF2._from_keys(self.nvars, keys)
 
+    def _capped(self, caps):
+        """The terms whose exponent of each variable i is <= caps[i].
+
+        Adding EXP_MAX - caps[i] to field i carries out of the field
+        exactly when the exponent passes its cap, so one carry test per
+        key decides the term. A cap outside [0, EXP_MAX] raises
+        ExponentOverflowError.
+        """
+        o = pack_exponents(tuple(EXP_MAX - c for c in caps), self.nvars)
+        mask = carry_mask(self.nvars)
+        return PolyGF2._from_keys(
+            self.nvars, [k for k in self._keys if not (k ^ o ^ (k + o)) & mask])
+
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented

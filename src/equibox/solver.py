@@ -249,12 +249,17 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     test_map evaluations of each restart (default 400 * m * d). Collinear
     direction pairs are tolerated during the search but never end it, and
     a best configuration flagged collinear is reported degenerate, not
-    accepted. A tol that is not a finite positive number, maxfev < 1,
+    accepted. A measure of dimension d < 2 (where every two directions are
+    collinear), a tol that is not a finite positive number, maxfev < 1,
     a coarse_grid that is negative, set for d != 2 or above
     COARSE_GRID_MAX_COMBOS combinations, and point-cloud tolerances below
     the quantization floor (3 * max weight) are rejected up front.
     """
     d = measure.dim
+    if d < 2:
+        raise ValueError(
+            "measure dimension must be >= 2, got d=%d: every two directions "
+            "in R^%d are collinear" % (d, d))
     if not 2 <= m <= 6:
         raise ValueError("m must be in [2, 6]")
     if l < 1:

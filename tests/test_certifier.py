@@ -8,6 +8,8 @@ from equibox.certifier import (
     CERTIFIED,
     INCONCLUSIVE,
     PartitionProblem,
+    _criterion_degree,
+    _Truncation,
     certify,
     criterion_polynomial,
     equipartition_table,
@@ -25,6 +27,18 @@ def min_dimension_incremental(m, l, d_cap=4096):
         if certify(m, l, d).verdict == CERTIFIED:
             return d
     raise RuntimeError("no certified dimension below %d" % d_cap)
+
+
+def min_dimension_full_expansion(m, l):
+    """1 + the least per-term largest exponent of the whole criterion; the
+    reference for min_dimension's search in the truncated ring."""
+    return 1 + min(criterion_polynomial(m, l).max_exponents())
+
+
+# every (m, l) of the table sweeps, from l=1, whose criterion expands cheaply
+EXPANDABLE = ([(2, l) for l in range(1, 61)] + [(3, l) for l in range(1, 41)]
+              + [(4, l) for l in range(1, 33)] + [(5, l) for l in range(1, 13)]
+              + [(6, l) for l in range(1, 5)])
 
 
 def _xy():
@@ -173,8 +187,41 @@ def test_known_minimal_dimensions():
     assert min_dimension(3, 14) == 16
 
 
+@pytest.mark.parametrize("m, l", EXPANDABLE)
+def test_min_dimension_matches_full_expansion(m, l):
+    assert min_dimension(m, l) == min_dimension_full_expansion(m, l)
+
+
+@pytest.mark.parametrize("m, l", [(2, 7), (3, 6), (3, 9), (4, 4), (4, 7), (5, 2),
+                                  (5, 3), (6, 1), (6, 2)])
+def test_truncated_criterion_is_the_capped_full_criterion(m, l):
+    full = criterion_polynomial(m, l)
+    trunc = _Truncation(m)
+    d_min = min_dimension(m, l)
+    for d in range(max(1, d_min - 3), d_min + 4):
+        assert trunc.criterion(l, d) == full._capped((d - 1,) * m)
+    assert not trunc.criterion(l, d_min - 1)
+
+
+def test_criterion_degree_closed_form():
+    # the search for d starts from it: too high would skip the answer
+    for m, l in EXPANDABLE[::3]:
+        assert _criterion_degree(m, l) == criterion_polynomial(m, l).total_degree()
+
+
+@pytest.mark.parametrize("l, d", [(5, 64), (6, 64), (10, 125)])
+def test_m6_min_dimensions_past_the_expansion_wall(l, d):
+    # recorded from the full expansion, which takes 0.3 s, 22 s and 44 s on
+    # a 2-core host
+    assert min_dimension(6, l) == d
+
+
+def test_table_m6_to_the_cap():
+    assert equipartition_table(6, 6)[-1] == (6, 64)
+
+
 def test_min_dimension_agreement_grid():
-    # closed scan vs incremental certify, m in {2,3,4}, l <= 24
+    # truncated search vs incremental certify, m in {2,3,4}, l <= 24
     for m in (2, 3, 4):
         for l in range(1, 25):
             d = min_dimension(m, l)

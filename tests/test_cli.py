@@ -60,6 +60,12 @@ def test_min_d(capsys):
     assert code == 0 and out.strip() == "16"
 
 
+def test_min_d_m6_past_the_expansion_wall(capsys):
+    # the full criterion for (6, 10) has 16M terms; the search never builds it
+    code, out, _ = run(capsys, "min-d", "--m", "6", "--l", "10")
+    assert code == 0 and out.strip() == "125"
+
+
 def test_table_markdown(capsys):
     code, out, _ = run(capsys, "table", "--m", "3", "--l-max", "6")
     lines = [ln for ln in out.splitlines() if ln.startswith("|")]
@@ -207,6 +213,22 @@ def test_solve_zero_dimensional_grid_is_error(tmp_path, capsys):
                          "--m", "2")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "at least one axis" in err
+
+
+@pytest.mark.parametrize("name,content", [
+    ("g.json", json.dumps({"dim": 1, "origin": [0], "spacing": [0.5],
+                           "shape": [4], "data": [1, 2, 3, 4]})),
+    ("c.csv", "x1,w\n" + "".join("%d,1\n" % i for i in range(10))),
+], ids=["grid", "cloud"])
+def test_solve_one_dimensional_measure_is_error(tmp_path, capsys, name,
+                                                content):
+    # every two directions in R^1 are collinear: refused before any restart
+    measure = tmp_path / name
+    measure.write_text(content)
+    code, out, err = run(capsys, "solve", "--input", str(measure), "--l", "1",
+                         "--m", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "got d=1" in err
 
 
 @pytest.mark.parametrize("argv", [

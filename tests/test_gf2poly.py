@@ -224,6 +224,41 @@ def test_max_exponents_match_term_tuples(p):
     assert sorted(p.max_exponents()) == sorted(max(t) for t in p.term_tuples())
 
 
+# -- truncation --------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(polys(n, max_terms=10, max_exp=EXP_MAX),
+                        st.tuples(*[st.integers(0, EXP_MAX)] * n))))
+def test_capped_keeps_exactly_the_terms_within_caps(case):
+    p, caps = case
+    kept = {t for t in p.term_tuples() if all(map(int.__le__, t, caps))}
+    assert p._capped(caps).term_tuples() == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3), polys(3), st.tuples(*[st.integers(0, 12)] * 3))
+def test_capped_commutes_with_products_and_squares(a, b, caps):
+    # no product lowers an exponent, so terms past a cap never matter
+    assert (a * b)._capped(caps) == (a._capped(caps) * b._capped(caps))._capped(caps)
+    halved = tuple(c >> 1 for c in caps)
+    assert (a * a)._capped(caps) == a._capped(halved)._squared()
+
+
+def test_capped_edges():
+    x, y = xyz(2)
+    p = x ** 3 + x * y + y ** 2
+    assert p._capped((0, 0)) == PolyGF2.zero(2)
+    assert p._capped((1, 1)) == x * y
+    assert p._capped((EXP_MAX, EXP_MAX)) == p
+    with pytest.raises(ExponentOverflowError):
+        p._capped((EXP_MAX + 1, 0))
+    with pytest.raises(ExponentOverflowError):
+        p._capped((-1, 0))
+    with pytest.raises(VariableMismatchError):
+        p._capped((1,))
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_text_examples():
