@@ -22,6 +22,14 @@ mass times lower end); it is continuous, so offsets are found by
 bisection to |mass error| <= 1e-10. A box takes from each cell its mass
 times its fractions between the box's hyperplanes, so the tensor's slab
 and halving sums hold to that tolerance for every direction.
+
+The box tensor depends on each direction only through the cut it makes
+(direction_cut): its k quantile offsets (k = l for the parallel family,
+k = 1 for a single hyperplane's median) and every point's side or
+every cell's fractions against them (_membership). _combine builds the
+tensor from the m cuts, so a caller that keeps cuts (the solver's memo)
+recomputes only the directions that changed. box_mass_tensor takes the
+same two steps with a configuration's given offsets.
 """
 
 import csv
@@ -458,37 +466,63 @@ def direction_quantiles(measure, u, l):
 # -- box masses --------------------------------------------------------------
 
 
-def _classify(points, masses, config):
-    """Accumulate masses into the (l+1) x 2^(m-1) box tensor."""
-    l, m = config.l, config.m
-    slab = np.searchsorted(config.parallel_offsets, points @ config.u, side="left")
-    bits = np.zeros(len(points), dtype=np.int64)
-    for j in range(m - 1):
-        side = points @ config.extra_dirs[j] > config.extra_offsets[j]
-        bits |= side.astype(np.int64) << j
-    flat = slab * 2 ** (m - 1) + bits
-    tensor = np.bincount(flat, weights=masses, minlength=(l + 1) * 2 ** (m - 1))
-    return tensor.reshape(l + 1, 2 ** (m - 1))
+def _membership(measure, w, offsets):
+    """Where every unit of the measure lies against the sorted offsets
+    along w.
+
+    Cloud, one offset: bool, point strictly above it (p.w > c).
+    Cloud, k offsets: slab index searchsorted(offsets, p.w, "left"), stored
+    as np.min_scalar_type(k); for k = 1 it equals the bool above.
+    Grid: (k, N) fraction of each cell's projected interval below each
+    offset (_cell_intervals).
+    """
+    if measure.kind == "point_cloud":
+        proj = measure.points @ w
+        if len(offsets) == 1:
+            return proj > offsets[0]
+        slab = np.searchsorted(offsets, proj, side="left")
+        return slab.astype(np.min_scalar_type(len(offsets)))
+    a, width = _cell_intervals(measure, w)
+    return np.clip((offsets[:, None] - a) / width, 0.0, 1.0)
 
 
-def _spread_cells(grid, config):
-    """Box tensor of a grid: every cell adds its mass times its fraction
-    in the slab times its fraction on each side of every extra hyperplane,
-    all read off the cells' projected intervals."""
-    l, m = config.l, config.m
-    _, masses = grid.cell_centers()
-    a, width = _cell_intervals(grid, config.u)
-    below_cut = np.clip((config.parallel_offsets[:, None] - a) / width, 0.0, 1.0)
-    slab_frac = np.diff(below_cut, axis=0, prepend=0.0, append=1.0)
-    below = []
-    for v, c in zip(config.extra_dirs, config.extra_offsets):
-        lo, v_width = _cell_intervals(grid, v)
-        below.append(np.clip((c - lo) / v_width, 0.0, 1.0))
-    tensor = np.zeros((l + 1, 2 ** (m - 1)))
-    for bits in range(2 ** (m - 1)):
+def direction_cut(measure, w, k):
+    """The cut direction w makes: the offsets of its k-quantile family
+    (direction_quantiles) and every unit's membership against them
+    (_membership). A box tensor depends on a direction only through its
+    cut, and k = 1 is also a single hyperplane's median cut. Both arrays
+    are read-only, so that a cut can be shared."""
+    w = _check_direction(w, measure.dim)
+    offsets = direction_quantiles(measure, w, k)
+    member = _membership(measure, w, offsets)
+    offsets.flags.writeable = member.flags.writeable = False
+    return offsets, member
+
+
+def _combine(measure, slab, sides, l):
+    """The (l+1) x 2^(m-1) box tensor from the parallel family's membership
+    slab and the m-1 single hyperplanes' memberships sides.
+
+    A cloud point goes to box (slab, sum side_j << j). A grid cell gives
+    each box its mass times its fraction in the slab times its fraction on
+    the box's side of every hyperplane."""
+    m = len(sides) + 1
+    if measure.kind == "point_cloud":
+        flat = slab.astype(np.intp) << (m - 1)
+        for j, side in enumerate(sides):
+            flat |= side.astype(np.intp) << j
+        tensor = np.bincount(flat, weights=measure.weights,
+                             minlength=(l + 1) << (m - 1))
+        return tensor.reshape(l + 1, 1 << (m - 1))
+    _, masses = measure.cell_centers()
+    slab_frac = np.diff(slab, axis=0, prepend=0.0, append=1.0)
+    below = [side[0] for side in sides]
+    above = [1.0 - b for b in below]
+    tensor = np.empty((l + 1, 1 << (m - 1)))
+    for bits in range(1 << (m - 1)):
         side = masses.copy()
         for j in range(m - 1):
-            side *= (1.0 - below[j]) if bits >> j & 1 else below[j]
+            side *= above[j] if bits >> j & 1 else below[j]
         tensor[:, bits] = slab_frac @ side
     return tensor
 
@@ -503,9 +537,10 @@ def box_mass_tensor(measure, config):
     """
     if config.dim != measure.dim:
         raise ValueError("configuration dimension does not match measure")
-    if measure.kind == "point_cloud":
-        return _classify(measure.points, measure.weights, config)
-    return _spread_cells(measure, config)
+    slab = _membership(measure, config.u, config.parallel_offsets)
+    sides = [_membership(measure, v, c)
+             for v, c in zip(config.extra_dirs, config.extra_offsets[:, None])]
+    return _combine(measure, slab, sides, config.l)
 
 
 def complete_configuration(measure, u, extra_dirs, l):

@@ -18,6 +18,22 @@ the result, not re-evaluated. Otherwise it ends after maxfev test_map
 evaluations or when least_squares stops on its own tolerances, and its
 best evaluation becomes the restart's candidate.
 
+An evaluation depends on each of its m directions only through that
+direction's cut (measures.direction_cut: quantile offsets plus the
+measure's membership against them). One solve keeps the cuts it made in
+an LRU memo of m + d + coarse_grid entries, keyed by the direction's
+bytes and its offset count, and an evaluation computes only the cuts it
+misses. A Jacobian probe moves one coordinate, so it changes one
+direction; the d probes of one block must leave the base point's other
+m-1 cuts cached, which takes m + d entries. The coarse grid cycles its
+last angle through coarse_grid values, which takes coarse_grid + 1. The
+memo goes with the solve, and verify_configuration recomputes everything
+from scratch.
+
+Whether the problem is in the certified regime is decided by
+d >= certifier.min_dimension(m, l), which works in the truncated ring
+and never expands the criterion.
+
 Restarts begin at deterministic seeded random points, or for d=2 first
 at the three best combinations of an optional exhaustive coarse angle
 grid. The coarse grid evaluates all n^m angle combinations, so it is
@@ -29,6 +45,7 @@ not. NOT_CONVERGED in a certified regime indicates solver failure, not
 a counterexample, and reports say so.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -38,8 +55,9 @@ from scipy.optimize import least_squares
 from equibox import certifier
 from equibox.measures import (
     Configuration,
+    _combine,
     box_mass_tensor,
-    complete_configuration,
+    direction_cut,
     rho,
 )
 
@@ -74,11 +92,23 @@ class DeviationTensor:
     halving_sums: np.ndarray
 
 
-def test_map(measure, u, extra_dirs, l):
+def test_map(measure, u, extra_dirs, l, _cuts=None):
     """Deviation tensor of the quantile/median configuration for the
-    given directions."""
-    config = complete_configuration(measure, u, extra_dirs, l)
-    tensor = box_mass_tensor(measure, config)
+    given directions.
+
+    Each direction enters only through its cut (measures.direction_cut):
+    (u, l) for the parallel family and (v, 1) for every extra hyperplane;
+    the tensor is their combination. _cuts(w, k), if given, stands in for
+    direction_cut(measure, w, k); solve_equipartition passes its memo
+    (_cut_memo), so an evaluation recomputes only the cuts of directions
+    it has not seen recently. The result is the same bit for bit."""
+    if _cuts is None:
+        _cuts = functools.partial(direction_cut, measure)
+    parallel, slab = _cuts(u, l)
+    extra = [_cuts(v, 1) for v in extra_dirs]
+    config = Configuration(u, np.atleast_2d(extra_dirs), parallel,
+                           [float(offsets[0]) for offsets, _ in extra])
+    tensor = _combine(measure, slab, [side for _, side in extra], l)
     dev = tensor - rho(config.l, config.m)
     half = tensor.shape[1]
     bits = np.arange(half)
@@ -178,6 +208,13 @@ def _check_coarse_grid(n, m, d):
             % (n, n ** m, m, COARSE_GRID_MAX_COMBOS, largest))
 
 
+def _certified_regime(m, l, d):
+    """Whether certify(m, l, d) is CERTIFIED, without expanding the
+    criterion: min_dimension is the least certified d, and a certificate
+    for d is one for every larger d."""
+    return d >= certifier.min_dimension(m, l)
+
+
 def _check_tol(tol):
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number, got %r" % tol)
@@ -204,7 +241,21 @@ def _accepted(cand, tol):
     return not cand[1] and cand[0].residual_max <= tol
 
 
-def _local_search(measure, l, m, x0, tol, maxfev):
+def _cut_memo(measure, capacity):
+    """direction_cut(measure, w, k) behind an LRU cache of capacity cuts,
+    keyed by the bytes of w and k; cache_info reports its hits."""
+    @functools.lru_cache(maxsize=capacity)
+    def cut(key, k):
+        return direction_cut(measure, np.frombuffer(key), k)
+
+    def cuts(w, k):
+        return cut(w.tobytes(), k)
+
+    cuts.cache_info = cut.cache_info
+    return cuts
+
+
+def _local_search(measure, l, m, x0, tol, maxfev, cuts):
     """One least-squares restart from x0.
 
     Returns (candidate, evaluations). The candidate is the first accepted
@@ -224,7 +275,7 @@ def _local_search(measure, l, m, x0, tol, maxfev):
         if evals == maxfev:
             raise _StopRestart
         evals += 1
-        dt = test_map(measure, dirs[0], dirs[1:], l)
+        dt = test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts)
         cand = (dt, _is_collinear(dirs))
         if _accepted(cand, tol):
             best = cand
@@ -277,13 +328,14 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
                 "tolerance %g below the point-cloud quantization floor %g "
                 "(3 * max weight)" % (tol, floor)
             )
-    certified = certifier.certify(m, l, d).verdict == certifier.CERTIFIED
+    certified = _certified_regime(m, l, d)
     if maxfev is None:
         maxfev = 400 * m * d
+    cuts = _cut_memo(measure, m + d + coarse_grid)  # capacity: module docstring
 
     def seed_score(x):
         dirs = _normalize_blocks(x, m, d)
-        return test_map(measure, dirs[0], dirs[1:], l).residual_l2
+        return test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts).residual_l2
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -298,7 +350,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
             x0 = starts[restart]
         else:
             x0 = rng.standard_normal(m * d)
-        cand, evals = _local_search(measure, l, m, x0, tol, maxfev)
+        cand, evals = _local_search(measure, l, m, x0, tol, maxfev, cuts)
         restart_evaluations.append(evals)
         evaluations += evals
         if cand is None:

@@ -14,6 +14,7 @@ from equibox.measures import (
     ProjectedGridCDF,
     box_mass_tensor,
     complete_configuration,
+    direction_cut,
     direction_quantiles,
     gaussian_mixture_cloud,
     gaussian_mixture_grid,
@@ -246,6 +247,104 @@ def test_grid_tensor_matches_per_cell_spread():
             for slab in range(3):
                 expect[slab, bits] += side * (cuts[slab + 1] - cuts[slab])
     assert np.allclose(got, expect, rtol=0.0, atol=1e-14)
+
+
+# references: the box tensor before it was split into per-direction cuts
+# (measures.direction_cut) and their combination; the split keeps every
+# operation and its order, so the tensors agree bit for bit
+
+def _classify(points, masses, config):
+    l, m = config.l, config.m
+    slab = np.searchsorted(config.parallel_offsets, points @ config.u, side="left")
+    bits = np.zeros(len(points), dtype=np.int64)
+    for j in range(m - 1):
+        side = points @ config.extra_dirs[j] > config.extra_offsets[j]
+        bits |= side.astype(np.int64) << j
+    flat = slab * 2 ** (m - 1) + bits
+    tensor = np.bincount(flat, weights=masses, minlength=(l + 1) * 2 ** (m - 1))
+    return tensor.reshape(l + 1, 2 ** (m - 1))
+
+
+def _spread_cells(grid, config):
+    l, m = config.l, config.m
+    _, masses = grid.cell_centers()
+
+    def intervals(w):
+        centers, _ = grid.cell_centers()
+        width = float(np.abs(w) @ grid.spacing)
+        return centers @ w - 0.5 * width, width
+
+    a, width = intervals(config.u)
+    below_cut = np.clip((config.parallel_offsets[:, None] - a) / width, 0.0, 1.0)
+    slab_frac = np.diff(below_cut, axis=0, prepend=0.0, append=1.0)
+    below = []
+    for v, c in zip(config.extra_dirs, config.extra_offsets):
+        lo, v_width = intervals(v)
+        below.append(np.clip((c - lo) / v_width, 0.0, 1.0))
+    tensor = np.zeros((l + 1, 2 ** (m - 1)))
+    for bits in range(2 ** (m - 1)):
+        side = masses.copy()
+        for j in range(m - 1):
+            side *= (1.0 - below[j]) if bits >> j & 1 else below[j]
+        tensor[:, bits] = slab_frac @ side
+    return tensor
+
+
+def _reference_tensor(measure, config):
+    if measure.kind == "point_cloud":
+        return _classify(measure.points, measure.weights, config)
+    return _spread_cells(measure, config)
+
+
+def _weighted_cloud(d, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.standard_normal((n, d)), 1)  # ties exercise the plateaus
+    return PointCloud(pts, rng.uniform(0.1, 1.0, n))
+
+
+SPLIT_MEASURES = {
+    "uniform-cloud": lambda: gaussian_mixture_cloud(3, 2, 900, seed=31),
+    "weighted-cloud": lambda: _weighted_cloud(3, 700, seed=32),
+    "grid-2d": lambda: gaussian_mixture_grid(2, 3, 20, seed=33),
+    "grid-3d": lambda: gaussian_mixture_grid(3, 2, 7, seed=34),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_MEASURES))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_split_tensor_matches_reference(kind, m):
+    measure = SPLIT_MEASURES[kind]()
+    rng = np.random.default_rng(m)
+    for l in range(1, 6):
+        u, extra = _random_config(rng, measure.dim, l, m)
+        cfg = complete_configuration(measure, u, extra, l)
+        assert np.array_equal(box_mass_tensor(measure, cfg),
+                              _reference_tensor(measure, cfg))
+
+
+def test_split_tensor_matches_reference_wide_slab_index():
+    # l = 300 offsets need a uint16 slab index
+    pc = gaussian_mixture_cloud(2, 2, 3000, seed=35)
+    u, extra = _random_config(np.random.default_rng(3), 2, 300, 3)
+    cfg = complete_configuration(pc, u, extra, 300)
+    _, slab = direction_cut(pc, cfg.u, 300)
+    assert slab.dtype == np.uint16 and slab.max() == 300
+    assert np.array_equal(box_mass_tensor(pc, cfg), _reference_tensor(pc, cfg))
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_MEASURES))
+def test_direction_cut_offsets_are_the_quantiles(kind):
+    measure = SPLIT_MEASURES[kind]()
+    u, _ = _random_config(np.random.default_rng(4), measure.dim, 3, 2)
+    for k in (1, 3):
+        offsets, member = direction_cut(measure, u, k)
+        assert np.array_equal(offsets, direction_quantiles(measure, u, k))
+        assert not offsets.flags.writeable and not member.flags.writeable
+        if measure.kind == "point_cloud":
+            proj = measure.points @ u
+            assert np.array_equal(member, np.searchsorted(offsets, proj))
+        else:
+            assert member.shape == (k, measure.cells.size)
 
 
 def test_boundary_point_goes_to_lower_side():

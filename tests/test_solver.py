@@ -1,16 +1,26 @@
 """Test map, search, verification and determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from equibox.measures import GridDensity, PointCloud, gaussian_mixture_cloud
+from equibox import certifier
+from equibox.measures import (
+    GridDensity,
+    PointCloud,
+    gaussian_mixture_cloud,
+    gaussian_mixture_grid,
+)
 from equibox.solver import (
     CONVERGED,
     FAILURE_NOTE,
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
+    _certified_regime,
+    _cut_memo,
+    _normalize_blocks,
     solve_equipartition,
     test_map as eval_test_map,
     verify_configuration,
@@ -51,7 +61,6 @@ def test_map_slab_sums_definitional():
 
 
 def test_map_grid_constraints_hold_for_oblique_directions():
-    from equibox.measures import gaussian_mixture_grid
     g = gaussian_mixture_grid(2, 3, 64, seed=7)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -66,6 +75,99 @@ def test_map_asymmetric_blobs_far_from_zero():
     g = _two_blob_grid()
     dt = eval_test_map(g, np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), 2)
     assert dt.residual_max > 0.01
+
+
+def _trust_region_sequence(rng, m, d, n_bases):
+    """Direction sets shaped like a least-squares solve: each base point is
+    followed by one-coordinate probes of every block, then the base again;
+    the last base repeats the first."""
+    xs = []
+    bases = [rng.standard_normal(m * d) for _ in range(n_bases)]
+    for base in bases + bases[:1]:
+        xs.append(base)
+        for i in range(m * d):
+            probe = base.copy()
+            probe[i] += 1e-2 * max(1.0, abs(probe[i]))
+            xs.append(probe)
+        xs.append(base)
+    return [_normalize_blocks(x, m, d) for x in xs]
+
+
+MEMO_CASES = {
+    "uniform-cloud": (lambda: gaussian_mixture_cloud(3, 3, 2000, seed=1), 2, 3),
+    "plateau-cloud": (lambda: PointCloud(
+        np.round(gaussian_mixture_cloud(3, 2, 1500, seed=2).points, 1),
+        np.random.default_rng(2).uniform(0.5, 1.5, 1500)), 3, 3),
+    "grid-2d": (lambda: gaussian_mixture_grid(2, 3, 32, seed=3), 2, 3),
+    "grid-3d": (lambda: gaussian_mixture_grid(3, 2, 8, seed=4), 2, 2),
+    "cloud-l1": (lambda: gaussian_mixture_cloud(2, 2, 1000, seed=5), 1, 2),
+    "grid-l1": (lambda: gaussian_mixture_grid(2, 2, 24, seed=6), 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_cut_memo_matches_fresh_evaluations(case):
+    make, l, m = MEMO_CASES[case]
+    measure = make()
+    d = measure.dim
+    memo = _cut_memo(measure, m + d)
+    # three bases: more distinct directions than the memo holds
+    seq = _trust_region_sequence(np.random.default_rng(len(case)), m, d, 3)
+    # the same directions swapped between the parallel family and the
+    # hyperplanes: keys (w, l) and (w, 1), one key when l = 1
+    seq += [seq[0][::-1].copy(), seq[0]]
+    for dirs in seq:
+        fresh = eval_test_map(measure, dirs[0], dirs[1:], l)
+        memo_dt = eval_test_map(measure, dirs[0], dirs[1:], l, _cuts=memo)
+        assert np.array_equal(memo_dt.values, fresh.values)
+        assert np.array_equal(memo_dt.config.parallel_offsets,
+                              fresh.config.parallel_offsets)
+        assert np.array_equal(memo_dt.config.extra_offsets,
+                              fresh.config.extra_offsets)
+    info = memo.cache_info()
+    assert info.misses > info.maxsize  # entries were evicted
+    # within one block's probes the other m-1 cuts of the base stay cached
+    assert info.hits >= 3 * m * d * (m - 1)
+
+
+@pytest.mark.parametrize("m, d", [(2, 2), (3, 4)])
+def test_cut_memo_capacity_keeps_the_base_point(m, d):
+    # a Jacobian sweep over all m blocks from one base point, then the base
+    # again: with m + d cuts every probe misses only on its moved direction
+    measure = gaussian_mixture_cloud(d, 2, 500, seed=m)
+    seq = _trust_region_sequence(np.random.default_rng(0), m, d, 1)
+    seq = seq[:m * d + 2]
+    misses = []
+    for capacity in (m + d, m + d - 1):
+        memo = _cut_memo(measure, capacity)
+        for dirs in seq:
+            eval_test_map(measure, dirs[0], dirs[1:], 2, _cuts=memo)
+        info = memo.cache_info()
+        assert info.hits + info.misses == m * len(seq)
+        misses.append(info.misses)
+    # one capacity less loses a base cut during some block's probes
+    assert misses[0] == m * (d + 1) < misses[1]
+
+
+@pytest.mark.parametrize("m, l_max", [(2, 8), (3, 6), (4, 4), (5, 3)])
+def test_certified_regime_matches_certify(m, l_max):
+    for l in range(1, l_max + 1):
+        least = certifier.min_dimension(m, l)
+        for d in range(max(1, least - 2), least + 3):
+            verdict = certifier.certify(m, l, d).verdict
+            assert _certified_regime(m, l, d) == (verdict == certifier.CERTIFIED)
+
+
+def test_m6_solve_decides_regime_without_the_full_criterion():
+    # certify(6, 6, 2) expands a 7.2M-term criterion (most of a minute);
+    # the truncated min_dimension answers in under a second
+    g = GridDensity([0.0, 0.0], [1.0, 1.0],
+                    np.random.default_rng(0).uniform(0.5, 1.0, (8, 8)))
+    t0 = time.perf_counter()
+    rep = solve_equipartition(g, 6, 6, tol=1e-3, max_restarts=1, maxfev=1)
+    assert time.perf_counter() - t0 < 10.0
+    assert not rep.certified_regime
+    assert rep.note == UNCERTIFIED_NOTE
 
 
 def test_solve_symmetric_gaussian_converges():
@@ -167,7 +269,6 @@ def test_convergence_rate_over_20_seeded_mixtures():
     # empirical property in the certified regime (test-scale grids);
     # existence is guaranteed here, finding the zero is not, so any failure
     # here is a solver regression rather than a counterexample
-    from equibox.measures import gaussian_mixture_grid
     converged = 0
     for seed in range(20):
         g = gaussian_mixture_grid(2, 3, 64, seed=seed)
