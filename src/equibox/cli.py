@@ -6,10 +6,11 @@ All machine-readable output carries "schema": "equibox/1".
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
-# measures and solver pull in numpy and scipy; the numerical commands
+# measures and solver pull in numpy; the numerical commands
 # import them when they run, so that the algebraic commands start fast
 from equibox import certifier, dickson, repdecomp
 from equibox.gf2poly import PolyGF2
@@ -221,13 +222,16 @@ def _cmd_solve(args):
     from equibox import measures, solver
 
     measure = measures.load_measure(args.input)
-    report = solver.solve_equipartition(
-        measure, args.l, args.m, tol=args.tol, max_restarts=args.restarts,
-        seed=args.seed, coarse_grid=args.coarse_grid, maxfev=args.maxfev)
-    text = report.to_json()
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # opened before the solve, so that an unwritable --out costs no solve,
+    # and for appending, so that a refused solve leaves an old file intact
+    with open(args.out, "a") if args.out else contextlib.nullcontext() as fh:
+        report = solver.solve_equipartition(
+            measure, args.l, args.m, tol=args.tol, max_restarts=args.restarts,
+            seed=args.seed, coarse_grid=args.coarse_grid, maxfev=args.maxfev)
+        text = report.to_json()
+        print(text)
+        if fh:
+            fh.truncate(0)
             fh.write(text)
     return 0 if report.status == solver.CONVERGED else 2
 

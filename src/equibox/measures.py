@@ -219,6 +219,12 @@ def write_grid_json(path, grid):
 # -- seeded generators ----------------------------------------------------
 
 
+def _seeded_rng(seed):
+    if seed < 0:
+        raise MeasureFormatError("seed must be >= 0, got %d" % seed)
+    return np.random.default_rng(seed)
+
+
 def _mixture_params(d, components, rng):
     if d < 1:
         raise MeasureFormatError("dimension d must be at least 1, got %d" % d)
@@ -235,7 +241,7 @@ def gaussian_mixture_cloud(d, components, n, seed):
     """Point cloud sampled from a seeded isotropic Gaussian mixture."""
     if n < 1:
         raise MeasureFormatError("point count n must be at least 1, got %d" % n)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
     which = rng.choice(components, size=n, p=weights)
     pts = means[which] + sigmas[which, None] * rng.standard_normal((n, d))
@@ -249,7 +255,7 @@ def gaussian_mixture_grid(d, components, cells_per_axis, seed):
             "grid cells per axis must be at least 1, got %d" % cells_per_axis)
     if cells_per_axis ** d > 1 << 24:
         raise MeasureFormatError("grid would exceed the cell-count guard")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
     lo = (means - 3.5 * sigmas[:, None]).min(axis=0)
     hi = (means + 3.5 * sigmas[:, None]).max(axis=0)

@@ -5,8 +5,9 @@ analytically (quantiles along the parallel direction, medians for the
 extra hyperplanes), so a candidate is a point of (S^(d-1))^m, held as m
 raw d-vectors that are re-projected to unit length at every evaluation.
 
-Each restart is a trust-region reflective least-squares solve
-(scipy.optimize.least_squares, method "trf"; Branch, Coleman & Li 1999)
+Each restart is an unconstrained trust-region least-squares solve
+(minimize: the Levenberg-Marquardt step of More 1977 from one SVD of the
+Jacobian, as in the unbounded branch of Branch, Coleman & Li's "trf")
 on the deviation vector, the flattened (l+1) x 2^(m-1) tensor of box
 masses minus the uniform target. Its Jacobian is a 2-point finite
 difference with the relative step DIFF_STEP = 1e-2: a point cloud's map
@@ -15,8 +16,8 @@ points, and the same step works on the continuous grid map. A restart
 ends at the first evaluation, Jacobian probes included, whose max-norm
 residual is within tol with non-collinear directions; that evaluation is
 the result, not re-evaluated. Otherwise it ends after maxfev test_map
-evaluations or when least_squares stops on its own tolerances, and its
-best evaluation becomes the restart's candidate.
+evaluations or when minimize stops on its own tolerances, and its best
+evaluation becomes the restart's candidate.
 
 An evaluation depends on each of its m directions only through that
 direction's cut (measures.direction_cut: quantile offsets plus the
@@ -50,7 +51,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.linalg import norm
 
 from equibox import certifier
 from equibox.measures import (
@@ -72,9 +73,8 @@ FAILURE_NOTE = (
     "NOT_CONVERGED in a certified regime indicates solver failure, "
     "not a counterexample"
 )
-
-# bound under this name because perfbench's traced run patches solver.minimize
-minimize = least_squares
+EPS = np.finfo(float).eps
+LSQ_TOL = 1e-8  # ftol = xtol = gtol of minimize
 
 
 @dataclass
@@ -255,6 +255,135 @@ def _cut_memo(measure, capacity):
     return cuts
 
 
+def _jacobian(fun, x, f):
+    """2-point forward differences at the relative step DIFF_STEP.
+
+    A coordinate that the step would not move falls back to
+    sqrt(EPS) * max(1, |x_i|); the divisor is the step as rounded into x.
+    The result is Fortran-ordered, so that J^T f and J p sum in the same
+    order as in scipy's least_squares, the tests' reference."""
+    sign = np.where(x >= 0, 1.0, -1.0)
+    h = DIFF_STEP * sign * np.abs(x)
+    fallback = EPS ** 0.5 * sign * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h) - x == 0, fallback, h)
+    jac_t = np.empty((x.size, f.size))
+    for i in range(x.size):
+        probe = x.copy()
+        probe[i] = x[i] + h[i]
+        jac_t[i] = (fun(probe) - f) / ((x[i] + h[i]) - x[i])
+    return jac_t.T
+
+
+def _lm_step(J_svd, n_res, Delta, alpha):
+    """More's solution of min |J p + f| subject to |p| <= Delta.
+
+    J_svd is (uf, s, V) with U, s, V^T = svd(J) and uf = U^T f. Returns
+    the Gauss-Newton step if J has full column rank and the step fits,
+    else the Levenberg-Marquardt step of norm Delta, whose parameter
+    alpha is found by at most ten safeguarded Newton iterations from the
+    previous one. Returns (step, alpha)."""
+    uf, s, V = J_svd
+    suf = s * uf
+
+    def phi(alpha):  # |p(alpha)| - Delta and its derivative in alpha
+        denom = s ** 2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+
+    full_rank = n_res >= V.shape[0] and s[-1] > EPS * n_res * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    if full_rank:
+        value, slope = phi(0.0)
+        alpha_lower = -value / slope
+    else:
+        alpha_lower = 0.0
+        if alpha == 0:
+            alpha = 0.001 * alpha_upper
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            alpha_upper = alpha
+        ratio = value / slope
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (value + Delta) * ratio / Delta
+        if np.abs(value) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s ** 2 + alpha))
+    p *= Delta / norm(p)  # onto the boundary, which the root-finding nears
+    return p, alpha
+
+
+def minimize(fun, x0, max_nfev):
+    """Unconstrained trust-region least squares on the residual vector fun(x).
+
+    The unbounded branch of the "trf" method (Branch, Coleman & Li 1999)
+    with x_scale 1, linear loss and the exact SVD trust-region solver:
+    the initial radius is |x0| (1 at the origin), a step is _lm_step on
+    the 2-point Jacobian, and the radius shrinks to a quarter of the step
+    below a reduction ratio of 0.25 (or at non-finite residuals) and
+    doubles above 0.75 when the step reached the boundary. The search stops
+    when the gradient's max-norm, the cost reduction or the step falls
+    below LSQ_TOL (relative to the cost and to |x|), or after max_nfev
+    evaluations outside the Jacobian probes. Nothing is returned: the
+    caller keeps what it needs from its own fun, as _local_search does."""
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    nfev = 1
+    J = _jacobian(fun, x, f)
+    g = J.T.dot(f)
+    cost = 0.5 * np.dot(f, f)
+    Delta = norm(x) or 1.0
+    alpha = 0.0
+    while not norm(g, ord=np.inf) < LSQ_TOL and nfev < max_nfev:
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        # U^T f and V p sum in layout order. Fortran-ordered factors, as
+        # scipy.linalg.svd returns them, keep the iterates equal to the
+        # reference's; C-ordered ones drift off by 1e-12 in ~70 evaluations
+        J_svd = (np.asfortranarray(U).T.dot(f), s, np.asfortranarray(Vt).T)
+        reduction = -1
+        done = False
+        while reduction <= 0 and nfev < max_nfev:
+            step, alpha = _lm_step(J_svd, f.size, Delta, alpha)
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = fun(x_new)
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1 if predicted == reduction == 0 else 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new = 2.0 * Delta
+            done = ((reduction < LSQ_TOL * cost and ratio > 0.25)
+                    or step_norm < LSQ_TOL * (LSQ_TOL + norm(x)))
+            if done:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = _jacobian(fun, x, f)
+            g = J.T.dot(f)
+        if done:
+            break
+
+
 def _local_search(measure, l, m, x0, tol, maxfev, cuts):
     """One least-squares restart from x0.
 
@@ -285,8 +414,7 @@ def _local_search(measure, l, m, x0, tol, maxfev, cuts):
         return dt.values.ravel()
 
     try:
-        minimize(residuals, x0, method="trf", jac="2-point",
-                 diff_step=DIFF_STEP, max_nfev=maxfev)
+        minimize(residuals, x0, maxfev)
     except _StopRestart:
         pass
     return best, evals
@@ -302,7 +430,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     a best configuration flagged collinear is reported degenerate, not
     accepted. A measure of dimension d < 2 (where every two directions are
     collinear), a tol that is not a finite positive number, maxfev < 1,
-    a coarse_grid that is negative, set for d != 2 or above
+    a negative seed, a coarse_grid that is negative, set for d != 2 or above
     COARSE_GRID_MAX_COMBOS combinations, and point-cloud tolerances below
     the quantization floor (3 * max weight) are rejected up front.
     """
@@ -320,6 +448,8 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     _check_tol(tol)
     if maxfev is not None and maxfev < 1:
         raise ValueError("maxfev must be >= 1, got %d" % maxfev)
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     _check_coarse_grid(coarse_grid, m, d)
     if measure.kind == "point_cloud":
         floor = 3.0 * measure.max_weight

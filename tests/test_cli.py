@@ -110,6 +110,7 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and measure.exists()
 
     report_path = tmp_path / "report.json"
+    report_path.write_text("an older report")
     code, out, _ = run(capsys, "solve", "--input", str(measure),
                        "--l", "1", "--m", "2", "--tol", "5e-3",
                        "--seed", "3", "--restarts", "40",
@@ -157,24 +158,31 @@ def test_solve_missing_input_is_error(capsys):
     assert code == 1 and "error" in err
 
 
+def _small_grid(tmp_path):
+    # a grid, so that no point-cloud tolerance floor intervenes
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],
+                                   "spacing": [0.5, 0.5], "shape": [2, 2],
+                                   "data": [1, 2, 3, 4]}))
+    return measure
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("solve", "--tol", "-1"),
     ("solve", "--tol", "nan"),
     ("solve", "--maxfev", "0"),
     ("solve", "--maxfev", "-3"),
     ("solve", "--coarse-grid", "-2"),
+    ("solve", "--seed", "-1"),
     ("verify", "--tol", "nan"),
 ])
 def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
                                             value):
-    # a grid, so that no point-cloud tolerance floor intervenes
-    measure = tmp_path / "g.json"
-    measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],
-                                   "spacing": [0.5, 0.5], "shape": [2, 2],
-                                   "data": [1, 2, 3, 4]}))
-    argv = [command, "--input", str(measure), flag, value]
+    argv = [command, "--input", str(_small_grid(tmp_path)), flag, value]
+    old_report = tmp_path / "r.json"
+    old_report.write_text("kept")
     if command == "solve":
-        argv += ["--l", "1", "--m", "2", "--restarts", "2"]
+        argv += ["--l", "1", "--m", "2", "--restarts", "2", "--out", str(old_report)]
         argv += ["--tol", "0.1"] if flag != "--tol" else []
     else:
         config = tmp_path / "config.json"
@@ -185,6 +193,29 @@ def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
+    assert old_report.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "100"),
+    ("--grid-cells", "8"),
+], ids=["cloud", "grid"])
+def test_gen_measure_negative_seed_is_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "m.out"
+    code, out, err = run(capsys, "gen-measure", "--d", "2", *argv,
+                         "--seed", "-1", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not out_path.exists()
+
+
+def test_solve_unwritable_out_is_error_before_the_solve(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--input", str(_small_grid(tmp_path)),
+                         "--l", "1", "--m", "2", "--tol", "0.1",
+                         "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "r.json" in err
 
 
 @pytest.mark.parametrize("shape,options,message", [

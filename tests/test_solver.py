@@ -1,11 +1,15 @@
 """Test map, search, verification and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import equibox
 from equibox import certifier
 from equibox.measures import (
     GridDensity,
@@ -15,12 +19,14 @@ from equibox.measures import (
 )
 from equibox.solver import (
     CONVERGED,
+    DIFF_STEP,
     FAILURE_NOTE,
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
     _certified_regime,
     _cut_memo,
     _normalize_blocks,
+    minimize,
     solve_equipartition,
     test_map as eval_test_map,
     verify_configuration,
@@ -180,6 +186,90 @@ def test_solve_symmetric_gaussian_converges():
     assert not rep.degenerate
     v = verify_configuration(g, rep.config, 1e-4)
     assert v.passed and not v.collinear_warning
+
+
+def _exp_fit(offset):
+    """12 residuals in 3 parameters: smooth, over-determined and
+    inconsistent (the data carry a ripple), so the Gauss-Newton step is
+    taken whenever it fits the trust region. Near the origin the search
+    ends on the relative cost reduction; with the third parameter near a
+    large offset, on the step relative to |x|."""
+    t = np.linspace(0.0, 2.0, 12)
+    data = 2.0 * np.exp(-0.7 * t) + 0.3 + 0.01 * np.sin(7 * t)
+
+    def residuals(x):
+        return 1e3 * (x[0] * np.exp(x[1] * t) + (x[2] - offset) - data)
+    return residuals
+
+
+def _underdetermined(x):
+    """2 residuals in 4 parameters: the Jacobian never has full column
+    rank, so every step comes from the Levenberg-Marquardt iteration."""
+    return np.array([x[0] ** 2 + x[1] ** 2 + x[2] - 1.0, x[0] * x[3] - 0.5])
+
+
+def _fenced_rosenbrock(x):
+    """Rosenbrock residuals that are not finite farther than 2.5 from the
+    zero (1, 1, 1), so long steps shrink the trust region."""
+    if np.linalg.norm(x - 1.0) > 2.5:
+        return np.full(3, np.inf)
+    return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0], 0.5 * (x[2] - x[0] * x[1])])
+
+
+def _grid_deviation():
+    grid = gaussian_mixture_grid(2, 3, 48, seed=3)
+
+    def residuals(x):
+        dirs = _normalize_blocks(x, 2, 2)
+        return eval_test_map(grid, dirs[0], dirs[1:], 2).values.ravel()
+    return residuals
+
+
+LSQ_REFERENCE_CASES = {
+    "over-determined": (lambda: _exp_fit(0.0), [1.0, 0.0, 0.0], 100),
+    "far-from-origin": (lambda: _exp_fit(1e7), [1.0, 0.0, 1e7], 100),
+    "under-determined": (lambda: _underdetermined, [0.3, 0.2, 0.1, 0.4], 100),
+    "non-finite-steps": (lambda: _fenced_rosenbrock, [2.5, 2.0, 0.5], 100),
+    "test-map-48": (_grid_deviation, [1.0, 0.2, 0.3, 1.0], 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LSQ_REFERENCE_CASES))
+def test_minimize_retraces_scipy_least_squares(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    make, x0, max_nfev = LSQ_REFERENCE_CASES[case]
+    fun = make()
+
+    def evaluated_points(run):
+        points = []
+
+        def recorded(x):
+            points.append(np.array(x))
+            return fun(x)
+        run(recorded)
+        return np.array(points)
+
+    ours = evaluated_points(lambda f: minimize(f, np.array(x0), max_nfev))
+    reference = evaluated_points(lambda f: optimize.least_squares(
+        f, np.array(x0), method="trf", jac="2-point", diff_step=DIFF_STEP,
+        max_nfev=max_nfev))
+    assert len(ours) == len(reference)
+    np.testing.assert_allclose(ours, reference, rtol=1e-9, atol=1e-15)
+    if case == "non-finite-steps":
+        assert any(not np.all(np.isfinite(fun(x))) for x in ours)
+
+
+def test_solve_leaves_scipy_unloaded():
+    # the child imports equibox from where this process found it
+    root = os.path.dirname(os.path.dirname(equibox.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    probe = ("import sys, equibox.solver as s, equibox.measures as m; "
+             "g = m.gaussian_mixture_grid(2, 2, 24, 3); "
+             "r = s.solve_equipartition(g, 1, 2, tol=1e-3, max_restarts=5); "
+             "print(r.evaluations > 0, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_solve_deterministic_bytes():
