@@ -12,7 +12,12 @@ generic data; the convention just makes reruns reproducible.
 Quantile backends differ by variant. Point clouds have a step CDF, so
 an exact quantile generally does not exist: the offset is the midpoint
 of the feasible interval and the per-slab mass error is bounded by the
-largest single weight.
+largest single weight. With equal weights and no tie next to a cut, the
+offsets come from order statistics: the middle target's rank is found
+by one single-kth selection (np.partition with one kth), its neighbours
+by a max and a min of the two parts, and the other targets recurse into
+the part on their side (_order_stats), O(N log l) in all. Otherwise the
+plateau path sorts the projections.
 
 Grids have one model: along a direction w, each cell's mass is spread
 uniformly over its projected interval c.w +- |w|.h / 2 (_cell_intervals).
@@ -26,10 +31,13 @@ and halving sums hold to that tolerance for every direction.
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
 k = 1 for a single hyperplane's median) and every point's side or
-every cell's fractions against them (_membership). _combine builds the
-tensor from the m cuts, so a caller that keeps cuts (the solver's memo)
-recomputes only the directions that changed. box_mass_tensor takes the
-same two steps with a configuration's given offsets.
+every cell's fractions against them (_membership). A cloud cut projects
+the points once and serves both steps from that projection; a point's
+slab index is the number of offsets strictly below it, one comparison
+per offset (_cloud_membership). _combine builds the tensor from the m
+cuts, so a caller that keeps cuts (the solver's memo) recomputes only
+the directions that changed. box_mass_tensor takes the same two steps
+with a configuration's given offsets.
 """
 
 import csv
@@ -39,6 +47,7 @@ import numpy as np
 
 GRID_QUANTILE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
+GENERATED_VALUES_MAX = 1 << 24  # cloud coordinates or grid cells a generator draws
 
 
 class MeasureFormatError(ValueError):
@@ -241,6 +250,10 @@ def gaussian_mixture_cloud(d, components, n, seed):
     """Point cloud sampled from a seeded isotropic Gaussian mixture."""
     if n < 1:
         raise MeasureFormatError("point count n must be at least 1, got %d" % n)
+    if n * d > GENERATED_VALUES_MAX:
+        raise MeasureFormatError(
+            "cloud would exceed the size guard: n * d = %d coordinates, "
+            "at most %d" % (n * d, GENERATED_VALUES_MAX))
     rng = _seeded_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
     which = rng.choice(components, size=n, p=weights)
@@ -253,7 +266,7 @@ def gaussian_mixture_grid(d, components, cells_per_axis, seed):
     if cells_per_axis < 1:
         raise MeasureFormatError(
             "grid cells per axis must be at least 1, got %d" % cells_per_axis)
-    if cells_per_axis ** d > 1 << 24:
+    if cells_per_axis ** d > GENERATED_VALUES_MAX:
         raise MeasureFormatError("grid would exceed the cell-count guard")
     rng = _seeded_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
@@ -284,10 +297,15 @@ class Configuration:
         if not all(np.all(np.isfinite(a)) for a in
                    (u, extra_dirs, parallel_offsets, extra_offsets)):
             raise ValueError("configuration values must be finite")
+        if u.ndim != 1:
+            raise ValueError("u must be a 1-D direction vector")
+        if parallel_offsets.ndim != 1 or parallel_offsets.shape[0] < 1:
+            raise ValueError("parallel_offsets must be a nonempty 1-D list")
         if extra_dirs.ndim != 2 or extra_dirs.shape[1] != u.shape[0]:
             raise ValueError("extra_dirs must be (m-1) x d")
         if extra_offsets.shape != (extra_dirs.shape[0],):
-            raise ValueError("need one offset per extra hyperplane")
+            raise ValueError(
+                "extra_offsets must be a 1-D list, one per extra hyperplane")
         for v in (u, *extra_dirs):
             if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError("direction vectors must have unit length")
@@ -343,10 +361,13 @@ def _check_direction(u, d):
 
 def _uniform_quantile_offsets(proj, targets):
     """Order-statistics shortcut for equal weights; None if the cut lands
-    in a run of tied values (caller falls back to the plateau path)."""
+    in a run of tied values (caller falls back to the plateau path).
+
+    With s = sorted(proj), target rank k takes the midpoint of s[k-1] and
+    s[k], unless s[k-2] == s[k-1] or s[k] == s[k+1]: a tie adjacent to
+    the cut makes the plateau CDF differ."""
     n = len(proj)
     ks = []
-    kths = set()
     for t in targets:
         frac = t * n - 0.5
         if frac == np.floor(frac):
@@ -355,19 +376,38 @@ def _uniform_quantile_offsets(proj, targets):
         if not 1 <= k <= n - 1:
             return None
         ks.append(k)
-        kths.update(i for i in (k - 2, k - 1, k, k + 1) if 0 <= i < n)
-    part = np.partition(proj, sorted(kths))
-    offsets = []
-    for t, k in zip(targets, ks):
-        lo, hi = float(part[k - 1]), float(part[k])
-        if lo == hi:
-            return None
-        if (k >= 2 and part[k - 2] == part[k - 1]) or (
-            k + 1 < n and part[k] == part[k + 1]
-        ):
-            return None  # tie adjacent to the cut: plateau CDF differs
-        offsets.append(0.5 * (lo + hi))
-    return np.asarray(offsets)
+    mids = {}
+    if not _order_stats(proj.copy(), sorted(set(ks)), 0, None, mids):
+        return None
+    return np.asarray([mids[k] for k in ks])
+
+
+def _order_stats(a, ks, base, below, out):
+    """Store the midpoint of s[k-1] and s[k] in out[k] for every rank k in
+    ks, one single-kth selection (quickselect) per rank; False, leaving out
+    incomplete, as soon as some k has s[k-1] == s[k], s[k-2] == s[k-1] or
+    s[k] == s[k+1].
+
+    a holds s[base:base+len(a)] in any order and is partitioned in place;
+    ks is sorted, with base <= k < base + len(a), and below is s[base-1].
+    The middle rank splits a, and the ranks on each side recurse into
+    their part, O(len(a) log len(ks)) in all. A tie across an end of a
+    part needs no look past it: the pivot s[p] at that end was already
+    checked against s[p-1] and s[p+1]."""
+    mid = len(ks) // 2
+    k = ks[mid] - base
+    a.partition(k)
+    hi = a[k]
+    lo = a[:k].max() if k else below
+    if (lo == hi
+            or k >= 2 and np.count_nonzero(a[:k] == lo) >= 2
+            or k + 1 < len(a) and a[k + 1:].min() == hi):
+        return False
+    out[base + k] = 0.5 * (float(lo) + float(hi))
+    return ((mid == 0 or _order_stats(a[:k], ks[:mid], base, below, out))
+            and (mid + 1 == len(ks)
+                 or _order_stats(a[k + 1:], ks[mid + 1:], base + k + 1, hi,
+                                 out)))
 
 
 def _cloud_quantile_offsets(proj, weights, targets):
@@ -456,13 +496,17 @@ class ProjectedGridCDF:
         raise RuntimeError("quantile bisection failed to reach tolerance")
 
 
+def _quantile_targets(l):
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    return [(i + 1) / (l + 1) for i in range(l)]
+
+
 def direction_quantiles(measure, u, l):
     """Offsets t_1 <= ... <= t_l splitting the measure into l+1 equal slabs
     along u (up to the backend's quantile tolerance)."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    targets = _quantile_targets(l)
     u = _check_direction(u, measure.dim)
-    targets = [(i + 1) / (l + 1) for i in range(l)]
     if measure.kind == "point_cloud":
         return _cloud_quantile_offsets(measure.points @ u, measure.weights, targets)
     cdf = ProjectedGridCDF(measure, u)
@@ -477,30 +521,47 @@ def _membership(measure, w, offsets):
     along w.
 
     Cloud, one offset: bool, point strictly above it (p.w > c).
-    Cloud, k offsets: slab index searchsorted(offsets, p.w, "left"), stored
-    as np.min_scalar_type(k); for k = 1 it equals the bool above.
+    Cloud, k offsets: slab index, the number of offsets strictly below
+    p.w, counted with one comparison per offset and stored as
+    np.min_scalar_type(k); it equals searchsorted(offsets, p.w, "left"),
+    and for k = 1 the bool above. Both read the projection p.w through
+    _cloud_membership, which direction_cut calls with the projection its
+    quantiles already made.
     Grid: (k, N) fraction of each cell's projected interval below each
     offset (_cell_intervals).
     """
     if measure.kind == "point_cloud":
-        proj = measure.points @ w
-        if len(offsets) == 1:
-            return proj > offsets[0]
-        slab = np.searchsorted(offsets, proj, side="left")
-        return slab.astype(np.min_scalar_type(len(offsets)))
+        return _cloud_membership(measure.points @ w, offsets)
     a, width = _cell_intervals(measure, w)
     return np.clip((offsets[:, None] - a) / width, 0.0, 1.0)
+
+
+def _cloud_membership(proj, offsets):
+    """_membership of a cloud, from its projections proj."""
+    if len(offsets) == 1:
+        return proj > offsets[0]
+    slab = np.zeros(len(proj), dtype=np.min_scalar_type(len(offsets)))
+    for c in offsets:
+        slab += proj > c
+    return slab
 
 
 def direction_cut(measure, w, k):
     """The cut direction w makes: the offsets of its k-quantile family
     (direction_quantiles) and every unit's membership against them
-    (_membership). A box tensor depends on a direction only through its
-    cut, and k = 1 is also a single hyperplane's median cut. Both arrays
-    are read-only, so that a cut can be shared."""
+    (_membership). A cloud is projected onto w once, for both steps. A
+    box tensor depends on a direction only through its cut, and k = 1 is
+    also a single hyperplane's median cut. Both arrays are read-only, so
+    that a cut can be shared."""
     w = _check_direction(w, measure.dim)
-    offsets = direction_quantiles(measure, w, k)
-    member = _membership(measure, w, offsets)
+    if measure.kind == "point_cloud":
+        proj = measure.points @ w
+        offsets = _cloud_quantile_offsets(proj, measure.weights,
+                                          _quantile_targets(k))
+        member = _cloud_membership(proj, offsets)
+    else:
+        offsets = direction_quantiles(measure, w, k)
+        member = _membership(measure, w, offsets)
     offsets.flags.writeable = member.flags.writeable = False
     return offsets, member
 

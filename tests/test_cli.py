@@ -152,6 +152,16 @@ def test_gen_measure_bad_size_is_error(tmp_path, capsys, flag):
     assert not out_path.exists()
 
 
+def test_gen_measure_oversized_cloud_is_error(tmp_path, capsys):
+    # refused before any draw: the coordinates alone would take 16 TB
+    out_path = tmp_path / "m.csv"
+    code, out, err = run(capsys, "gen-measure", "--d", "2",
+                         "--n", "1000000000000", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "size guard" in err
+    assert not out_path.exists()
+
+
 def test_solve_missing_input_is_error(capsys):
     code, _, err = run(capsys, "solve", "--input", "/does/not/exist.csv",
                        "--l", "1", "--m", "2")
@@ -288,6 +298,28 @@ def test_verify_incomplete_config_is_error(tmp_path, capsys, config):
                          "--config", str(config_path), "--tol", "1e-3")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: configuration")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("u", "5"),
+    ("parallel_offsets", "[[0.5]]"),
+    ("parallel_offsets", "[]"),
+    ("parallel_offsets", "0.5"),
+    ("extra_offsets", "0.5"),
+], ids=["scalar-u", "nested-offsets", "no-offsets", "scalar-offsets",
+        "scalar-extra-offset"])
+def test_verify_malformed_config_shape_is_error(tmp_path, capsys, key, value):
+    measure = tmp_path / "m.csv"
+    measure.write_text("x1,x2,w\n0,0,1\n1,1,1\n")
+    fields = {"u": "[1, 0]", "extra_dirs": "[[0, 1]]",
+              "parallel_offsets": "[0.5]", "extra_offsets": "[0.5]", key: value}
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{%s}" % ", ".join('"%s": %s' % kv
+                                              for kv in fields.items()))
+    code, out, err = run(capsys, "verify", "--input", str(measure),
+                         "--config", str(config_path), "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: %s must" % key)
 
 
 @pytest.mark.parametrize("u,offset", [

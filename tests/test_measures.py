@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equibox.measures import (
     GRID_QUANTILE_TOL,
@@ -12,6 +13,10 @@ from equibox.measures import (
     MeasureFormatError,
     PointCloud,
     ProjectedGridCDF,
+    _cloud_membership,
+    _combine,
+    _membership,
+    _uniform_quantile_offsets,
     box_mass_tensor,
     complete_configuration,
     direction_cut,
@@ -345,6 +350,109 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
             assert np.array_equal(member, np.searchsorted(offsets, proj))
         else:
             assert member.shape == (k, measure.cells.size)
+
+
+# reference: the equal-weight order statistics before the single-kth
+# selection, one np.partition with every needed rank as a kth
+
+
+def _uniform_quantile_offsets_multi_kth(proj, targets):
+    n = len(proj)
+    ks = []
+    kths = set()
+    for t in targets:
+        frac = t * n - 0.5
+        if frac == np.floor(frac):
+            return None
+        k = int(np.ceil(frac))
+        if not 1 <= k <= n - 1:
+            return None
+        ks.append(k)
+        kths.update(i for i in (k - 2, k - 1, k, k + 1) if 0 <= i < n)
+    part = np.partition(proj, sorted(kths))
+    offsets = []
+    for k in ks:
+        lo, hi = float(part[k - 1]), float(part[k])
+        if lo == hi:
+            return None
+        if (k >= 2 and part[k - 2] == part[k - 1]) or (
+            k + 1 < n and part[k] == part[k + 1]
+        ):
+            return None
+        offsets.append(0.5 * (lo + hi))
+    return np.asarray(offsets)
+
+
+def _assert_same_offsets(proj, l):
+    targets = [(i + 1) / (l + 1) for i in range(l)]
+    before = proj.copy()
+    got = _uniform_quantile_offsets(proj, targets)
+    assert np.array_equal(proj, before)  # direction_cut reuses proj
+    want = _uniform_quantile_offsets_multi_kth(proj, targets)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 120).flatmap(
+    lambda span: st.lists(st.integers(0, span), min_size=1, max_size=60)),
+    st.integers(1, 12))
+def test_uniform_quantiles_match_multi_kth_reference(values, l):
+    # small integer spans tie often, next to the cut and across it;
+    # l + 1 > n puts several targets on one rank or on adjacent ranks
+    _assert_same_offsets(np.asarray(values, dtype=float), l)
+
+
+def test_uniform_quantiles_match_multi_kth_reference_wide():
+    rng = np.random.default_rng(36)
+    assert _assert_same_offsets(rng.standard_normal(2000), 300) is not None
+    _assert_same_offsets(np.round(rng.standard_normal(2000), 2), 300)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 300])
+def test_cloud_membership_is_left_searchsorted(k):
+    # points exactly on an offset, twice on repeated offsets, go below it
+    rng = np.random.default_rng(k)
+    offsets = np.sort(rng.choice(np.round(rng.uniform(-3, 3, k), 1), k))
+    xs = np.concatenate([offsets, rng.uniform(-4, 4, 400),
+                         [offsets[0] - 1, offsets[-1] + 1]])
+    pc = PointCloud(np.column_stack([xs, rng.standard_normal(len(xs))]),
+                    np.ones(len(xs)))
+    member = _membership(pc, np.array([1.0, 0.0]), offsets)
+    assert member.dtype == (bool if k == 1 else np.min_scalar_type(k))
+    assert np.array_equal(member, np.searchsorted(offsets, xs, side="left"))
+    assert np.array_equal(_cloud_membership(xs, offsets), member)
+
+
+@pytest.mark.parametrize("points", ["distinct", "tied"])
+def test_direction_cut_is_independent_of_point_order(points):
+    # the benchmark's seed shuffles the cloud and expects the same report
+    rng = np.random.default_rng(37)
+    cloud = gaussian_mixture_cloud(3, 2, 900, seed=37)
+    pts = cloud.points if points == "distinct" else np.round(cloud.points, 1)
+    perm = rng.permutation(len(pts))
+    base = PointCloud(pts, np.ones(len(pts)))
+    shuffled = PointCloud(pts[perm], np.ones(len(pts)))
+    u = np.array([1.0, 0.0, 0.0])  # on the tied cloud, the plateau path
+    _, extra = _random_config(rng, 3, 3, 3)
+    fast = _uniform_quantile_offsets(base.points @ u, [0.25, 0.5, 0.75])
+    assert (fast is None) == (points == "tied")
+
+    def cuts(measure):
+        return [direction_cut(measure, w, k) for w in (u, *extra) for k in (1, 3)]
+
+    ref, got = cuts(base), cuts(shuffled)
+    for (offsets, member), (got_offsets, got_member) in zip(ref, got):
+        assert np.array_equal(got_offsets, offsets)
+        assert np.array_equal(got_member, member[perm])
+
+    def tensor(measure, cut):  # cut order: (u, 1), (u, 3), (v1, 1), ...
+        return _combine(measure, cut[1][1], [cut[2][1], cut[4][1]], 3)
+
+    assert np.array_equal(tensor(shuffled, got), tensor(base, ref))
 
 
 def test_boundary_point_goes_to_lower_side():
