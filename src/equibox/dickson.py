@@ -8,7 +8,7 @@ x_{s(m)}. Both are built here and tested for coincidence.
 
 from itertools import permutations
 
-from equibox.gf2poly import PolyGF2
+from equibox.gf2poly import PolyGF2, product
 
 MAX_VARS = 6
 
@@ -19,12 +19,19 @@ def _check_m(m):
 
 
 def dickson_product(m):
-    """Product of all nonzero linear forms in m variables."""
+    """Product of all nonzero linear forms in m variables.
+
+    The forms go in mask order through a balanced product tree
+    (gf2poly.product): forms 1..2^r-1 split into 1..2^(r-1)-1 and the
+    coset 2^(r-1)..2^r-1, and each coset halves into cosets again, so
+    every partial product is over a coset of a coordinate subspace and
+    stays small, where a one-by-one product carries every earlier form
+    along.
+    """
     _check_m(m)
-    p = PolyGF2.one(m)
-    for mask in range(1, 1 << m):
-        p = p * PolyGF2.linear_form(m, [i for i in range(m) if mask >> i & 1])
-    return p
+    return product(
+        [PolyGF2.linear_form(m, [i for i in range(m) if mask >> i & 1])
+         for mask in range(1, 1 << m)])
 
 
 def dickson_moore(m):

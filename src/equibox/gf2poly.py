@@ -326,3 +326,14 @@ class PolyGF2:
     def __repr__(self):
         return "PolyGF2(%d, %s)" % (self.nvars, self.to_text())
 
+
+def product(factors):
+    """Product of a non-empty list of factors by a balanced product tree
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 10.1): the list
+    is split in the middle and the halves multiplied recursively, so
+    every partial product is over a contiguous run of the list.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    mid = len(factors) // 2
+    return product(factors[:mid]) * product(factors[mid:])

@@ -18,18 +18,24 @@ representations when C is invariant under every generator. Then
     mult(chi) = 2^-m * sum over g of chi(g) * (fix(g) - tr(g | C)),
 
 where fix(g) counts the boxes g fixes. One exact elimination gives a
-basis of C whose row i is 1 at its pivot column p_i and 0 at every
-other pivot; then tr(g | C) = sum over i of row_i[g(p_i)]. A spec whose
-constraint span is not invariant is refused, because the formula needs
-the splitting. All arithmetic is exact (int and Fraction): a
+basis of C whose row i holds a positive integer D_i at its pivot column
+p_i and 0 at every other pivot; then tr(g | C) = sum over i of
+row_i[g(p_i)] / D_i. A spec whose constraint span is not invariant is
+refused, because the formula needs the splitting. All arithmetic is
+exact and in plain integers: each constraint row (int or Fraction
+entries) is scaled to integers once, the elimination is fraction-free
+(cross-multiplication with gcd removal, after Bareiss 1968), and the
+traces are summed as integer numerators over one common denominator. A
 floating-point trace could silently shift a multiplicity by one and
 poison the oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import eq
 
-from equibox.gf2poly import PolyGF2
+from equibox.gf2poly import PolyGF2, product
 
 # bound on constraint rows x boxes, the entries the constraints take
 MAX_CONSTRAINT_ENTRIES = 1 << 20
@@ -143,64 +149,82 @@ def build_test_representation(m, l):
     return ActionSpec(m, l, tuple(perms), tuple(constraints))
 
 
-# -- exact linear algebra over Q ---------------------------------------
+# -- exact linear algebra over Q, in integers ---------------------------
 
 
-def _eliminate(row, pivot_row, f):
-    """row -= f * pivot_row in place, on {column: nonzero value} dicts."""
-    for c, x in pivot_row.items():
-        y = row.get(c, 0) - f * x
-        if y:
-            row[c] = y
-        else:
-            del row[c]
+def _integer_row(dense):
+    """The row as {column: nonzero int}, scaled by the lcm of its entries'
+    denominators (entries may be any int or Fraction)."""
+    row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+
+
+def _reduce(row, basis):
+    """row with every pivot column of the basis eliminated, times a
+    nonzero integer, divided by the gcd of its entries; {} iff row lies
+    in the span of the basis. The row dict may be changed in place.
+
+    Fraction-free (Bareiss-style cross-multiplication): eliminating pivot
+    p scales row by b[p] / g and subtracts row[p] / g times b, where
+    g = gcd(row[p], b[p]). A basis row is 0 at every other pivot, so one
+    pass over the pivots present in row suffices.
+    """
+    for p in [p for p in row if p in basis]:
+        b = basis[p]
+        x, d = row[p], b[p]
+        g = gcd(x, d)
+        x, d = x // g, d // g
+        if d != 1:
+            row = {c: d * y for c, y in row.items()}
+        for c, y in b.items():
+            z = row.get(c, 0) - x * y
+            if z:
+                row[c] = z
+            else:
+                del row[c]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            row = {c: y // g for c, y in row.items()}
+    return row
 
 
 def _reduced_basis(rows):
-    """Exact basis of the span of the rows, with its pivot columns.
+    """Integer basis of the span of the rows, keyed by pivot column.
 
-    Rows come back as {column: nonzero Fraction} dicts, sorted by pivot;
-    row i is 1 at pivot i and 0 at every other pivot, so a vector w of
-    the span is the sum of w[p_i] times row i.
+    Each basis row is a {column: nonzero int} dict with content 1, whose
+    entry D_i at its pivot p_i is positive, and which is 0 at every other
+    pivot: a vector w of the span is the sum of w[p_i] / D_i times row i.
     """
     basis = {}
     for dense in rows:
-        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
-        for p, b in basis.items():
-            if p in row:
-                _eliminate(row, b, row[p])
+        row = _reduce(_integer_row(dense), basis)
         if not row:
             continue
         pivot = min(row)
-        scale = row[pivot]
-        row = {c: x / scale for c, x in row.items()}
-        for b in basis.values():
+        if row[pivot] < 0:
+            row = {c: -y for c, y in row.items()}
+        for p, b in basis.items():
             if pivot in b:
-                _eliminate(b, row, b[pivot])
+                basis[p] = _reduce(b, {pivot: row})
         basis[pivot] = row
-    pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+    return basis
 
 
 def _invariant_basis(spec):
     """_reduced_basis of the constraints.
 
     Raises ValueError unless every generator maps their span into itself:
-    the image of each basis row must equal the combination of the rows
-    given by its entries at the pivots.
+    the image of each basis row must reduce to zero against the basis.
     """
-    rows, pivots = _reduced_basis(spec.constraints)
+    basis = _reduced_basis(spec.constraints)
     for i, perm in enumerate(spec.generator_perms):
-        for row in rows:
-            image = {perm[c]: x for c, x in row.items()}
-            combination = {}
-            for other, p in zip(rows, pivots):
-                if p in image:
-                    _eliminate(combination, other, -image[p])
-            if image != combination:
+        for row in basis.values():
+            if _reduce({perm[c]: y for c, y in row.items()}, basis):
                 raise ValueError(
                     "constraint span not invariant under generator %d" % i)
-    return rows, pivots
+    return basis
 
 
 # -- validation ---------------------------------------------------------
@@ -249,24 +273,27 @@ def character_multiplicities(spec):
     the constraint span is not invariant, or when the inner products are
     not non-negative integers summing to the deviation space's dimension.
     """
-    rows, pivots = _invariant_basis(spec)
-    trace = []  # character of the deviation space at each group element
+    basis = _invariant_basis(spec)
+    # tr(g | C) = sum of row_i[g(p_i)] / D_i, over the common denominator
+    denom = lcm(*(row[p] for p, row in basis.items()))
+    weights = [(p, row, denom // row[p]) for p, row in basis.items()]
+    trace = []  # denom times the character of the deviation space at each g
     for perm in _group_perms(spec):
-        fixed = sum(1 for b, image in enumerate(perm) if b == image)
-        on_span = sum(row.get(perm[p], 0) for row, p in zip(rows, pivots))
-        trace.append(fixed - on_span)
+        fixed = sum(map(eq, perm, range(len(perm))))
+        on_span = sum(row.get(perm[p], 0) * w for p, row, w in weights)
+        trace.append(fixed * denom - on_span)
     order = 1 << spec.m
-    total_dim = spec.box_count - len(pivots)
+    total_dim = spec.box_count - len(basis)
     mult = {}
     for chi_mask in range(order):
         chi = tuple((chi_mask >> i) & 1 for i in range(spec.m))
         inner = sum(-t if (g & chi_mask).bit_count() & 1 else t
                     for g, t in enumerate(trace))
-        k, rest = divmod(inner, order)
+        k, rest = divmod(inner, order * denom)
         if rest or k < 0:
             raise ValueError(
                 "character %s has multiplicity %s, not a non-negative integer"
-                % (character_name(chi), Fraction(inner) / order))
+                % (character_name(chi), Fraction(inner, order * denom)))
         mult[chi] = k
     if sum(mult.values()) != total_dim:
         raise ValueError("multiplicities sum to %d, not the dimension %d"
@@ -278,16 +305,40 @@ def index_polynomial(spec, table=None):
     """Product over nontrivial characters of their linear form, raised to
     the multiplicity: the obstruction polynomial of the action.
 
+    Built by Frobenius levels: with every multiplicity in binary, from the
+    top bit down the running product is squared (squaring only doubles
+    exponents over GF(2)) and multiplied by the product of the forms whose
+    multiplicity has that bit set. Each level's product runs the forms in
+    mask order through a balanced product tree (gf2poly.product), so each
+    partial product is over part of a coset of a coordinate subspace (an
+    aligned block of masks) and stays small, where a one-by-one product
+    carries every earlier form along. A single-variable form missing from
+    a level is padded in to keep those cosets whole, and the padding is
+    divided out at the end as one monomial.
+
     Raises TrivialCharacterError when the trivial character occurs (the
     action has nonzero fixed vectors, so no obstruction exists).
     """
     if table is None:
         table = character_multiplicities(spec)
-    trivial = (0,) * spec.m
+    m = spec.m
+    trivial = (0,) * m
     if table.multiplicities.get(trivial, 0):
         raise TrivialCharacterError(table.multiplicities[trivial])
-    poly = PolyGF2.one(spec.m)
-    for chi, k in sorted(table.multiplicities.items()):
-        if k and chi != trivial:
-            poly = poly * character_form(chi, spec.m) ** k
+    forms = [(sum(bit << i for i, bit in enumerate(chi)), chi, k)
+             for chi, k in table.multiplicities.items() if chi != trivial]
+    one = PolyGF2.one(m)
+    poly = one
+    top = max((k for *_, k in forms), default=0).bit_length()
+    for level in reversed(range(top)):
+        # slot `mask` holds the form of that mask or 1, so that every
+        # subtree of the product tree covers an aligned block of masks
+        slots, padded = [one] * (1 << m), [0] * m
+        for mask, chi, k in forms:
+            if not k >> level & 1:
+                if mask & (mask - 1):
+                    continue
+                padded[mask.bit_length() - 1] = 1
+            slots[mask] = character_form(chi, m)
+        poly = poly._squared() * product(slots).divide_by_monomial(padded)
     return poly

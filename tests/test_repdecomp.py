@@ -146,6 +146,39 @@ def test_validation_rejects_non_invariant_constraints():
         character_multiplicities(bad)
 
 
+def test_scaled_and_redundant_constraints():
+    # integer elimination: rows scaled by 1/2, 3 and -1 plus a redundant
+    # row span the same space, so the table must not move
+    spec = build_test_representation(4, 3)
+    rows = list(spec.constraints)
+    for i, f in ((0, Fraction(1, 2)), (4, 3), (6, -1)):  # slab, halving rows
+        rows[i] = tuple(f * x for x in rows[i])
+    rows.append(tuple(a + b for a, b in zip(rows[1], rows[5])))
+    scaled = ActionSpec(spec.m, spec.l, spec.generator_perms, tuple(rows))
+    validate_action_spec(scaled)
+    table = character_multiplicities(scaled)
+    assert table == character_multiplicities(spec)
+    assert table == _projector_multiplicities(scaled)
+    assert index_polynomial(scaled, table) == criterion_polynomial(4, 3)
+
+
+def test_non_unit_pivots():
+    # invariant spans whose reduced rows hold fractions: u alone reduces
+    # to (1, 1, 2/3, ...), kept as the integer row with D = 3 at its
+    # pivot; with v the basis holds D = 3 and D = 1, so the traces need
+    # the common denominator; w reduces against u by cross-multiplication
+    spec = build_test_representation(2, 3)
+    s = spec.constraints[:4]  # slab rows s0..s3
+    u = tuple(3 * a + 2 * b + 2 * c + 3 * d for a, b, c, d in zip(*s))
+    v = (0, 0, 1, -1, -1, 1, 0, 0)  # side differences of slab 1 minus slab 2
+    w = tuple(a + b - c - d for a, b, c, d in zip(*s))
+    for rows in ((u,), (u, v), (v, u), (u, w)):
+        sub = ActionSpec(spec.m, spec.l, spec.generator_perms, rows)
+        validate_action_spec(sub)
+        assert character_multiplicities(sub) == \
+            _projector_multiplicities(sub), rows
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_m2_multiplicities(k):
     table = character_multiplicities(build_test_representation(2, 2 * k))
@@ -173,27 +206,33 @@ def test_m3_odd_multiplicities(k):
     assert table.total_dim == 6 * k + 4
 
 
-def test_oracle_equivalence_grid():
-    # the central cross-check: projector-derived index == closed criterion
-    for m in (2, 3):
-        for l in range(1, 10):
-            spec = build_test_representation(m, l)
-            table = character_multiplicities(spec)
-            assert table.multiplicities[(0,) * m] == 0, (m, l)
-            assert index_polynomial(spec, table) == criterion_polynomial(m, l)
-    for l in range(1, 6):
-        spec = build_test_representation(4, l)
-        table = character_multiplicities(spec)
-        assert table.multiplicities[(0, 0, 0, 0)] == 0, l
-        assert index_polynomial(spec, table) == criterion_polynomial(4, l)
+# every (m, l) with l >= 1 that equipartition_table admits, but (6, 6):
+# its index polynomial has 7.2M terms, too large to expand in a test
+ORACLE_L_MAX = {2: 128, 3: 64, 4: 32, 5: 12, 6: 5}
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4])
-def test_oracle_equivalence_m5(l):
-    spec = build_test_representation(5, l)
+def _assert_oracle(m, l):
+    spec = build_test_representation(m, l)
     table = character_multiplicities(spec)
-    assert table.multiplicities[(0,) * 5] == 0
-    assert index_polynomial(spec, table) == criterion_polynomial(5, l)
+    assert table.multiplicities[(0,) * m] == 0, (m, l)
+    assert index_polynomial(spec, table) == criterion_polynomial(m, l), (m, l)
+
+
+def test_oracle_equivalence_grid():
+    # the central cross-check: character-derived index == closed criterion
+    for m in (2, 3, 4):
+        for l in range(1, ORACLE_L_MAX[m] + 1):
+            _assert_oracle(m, l)
+
+
+@pytest.mark.parametrize("l", range(1, ORACLE_L_MAX[5] + 1))
+def test_oracle_equivalence_m5(l):
+    _assert_oracle(5, l)
+
+
+@pytest.mark.parametrize("l", range(1, ORACLE_L_MAX[6] + 1))
+def test_oracle_equivalence_m6(l):
+    _assert_oracle(6, l)
 
 
 def test_unconstrained_action_has_fixed_vectors():
