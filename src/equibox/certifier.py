@@ -8,15 +8,15 @@ Dickson-polynomial quotients and check it against the monomial ideal
 polynomial lies in the ideal iff every term is divisible by some xi^d.
 Non-membership is witnessed by a term with all exponents <= d-1.
 
-certify expands the whole criterion, so that the Certificate carries it.
-min_dimension and equipartition_table only ask whether some term has
-every exponent <= d-1, so they work in the truncated ring: they build the
-criterion by the same Frobenius squaring, but drop a term as soon as one
-of its exponents passes its cap (d-1, or d for x2..xm before the odd-l
+The criterion is built in one place, _Truncation, in the truncated
+ring: by Frobenius squaring of P_m/x1, dropping a term as soon as one of
+its exponents passes its cap (d-1, or d for x2..xm before the odd-l
 division by x2...xm). That is exact, because every factor has
 nonnegative exponents: a dropped term only ever yields terms past the
 cap, so the kept terms and their GF(2) coefficients are those of the full
-expansion.
+expansion. certify, min_dimension and equipartition_table only ask
+whether some term has every exponent <= d-1, so they never build the
+terms past d-1; criterion_polynomial is the case whose caps drop nothing.
 
 The criterion never proves impossibility: a failed test is INCONCLUSIVE.
 """
@@ -66,26 +66,16 @@ class PartitionProblem:
 @dataclass(frozen=True)
 class Certificate:
     problem: PartitionProblem
-    criterion: PolyGF2
     witness: tuple | None
     verdict: str
     note: str = ""
 
 
 @lru_cache(maxsize=None)
-def _quotient_power(m, k):
-    """(P_m / x1)^k by Frobenius squaring: one product per bit of k.
-
-    Over GF(2), P_m is the Moore determinant (m! terms) and squaring only
-    doubles exponents, so q^k = (q^(k >> 1))^2 * q^(k & 1).
-    """
-    if k == 0:
-        return PolyGF2.one(m)
-    if k == 1:
-        e1 = tuple(1 if i == 0 else 0 for i in range(m))
-        return dickson_moore(m).divide_by_monomial(e1)
-    half = _quotient_power(m, k >> 1)._squared()
-    return half * _quotient_power(m, 1) if k & 1 else half
+def _quotient_power(m):
+    """P_m / x1, the base of the criterion's powers; over GF(2), P_m is
+    the Moore determinant (m! terms)."""
+    return dickson_moore(m).divide_by_monomial((1,) + (0,) * (m - 1))
 
 
 def _check_l(m, l):
@@ -105,23 +95,15 @@ def _rest(m):
     return (0,) + (1,) * (m - 1)
 
 
-def _even_factor(m):
-    """P_{m-1}(x2..xm) / (x2...xm), embedded in m variables."""
-    pm1 = PolyGF2(m, [(0,) + t for t in dickson_moore(m - 1).term_tuples()])
-    return pm1.divide_by_monomial(_rest(m))
-
-
 @lru_cache(maxsize=None)
 def criterion_polynomial(m, l):
     """The certificate polynomial for (m, l); nonzero and homogeneous.
 
-    Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
-    Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm)
+    The whole expansion: _Truncation's criterion under caps that drop
+    nothing. certify and min_dimension never need it.
     """
     _check_l(m, l)
-    if l % 2 == 0:
-        return _even_factor(m) * _quotient_power(m, l // 2)
-    return _quotient_power(m, l // 2 + 1).divide_by_monomial(_rest(m))
+    return _Truncation(m).criterion(l, EXP_MAX)
 
 
 def in_monomial_ideal(p, d):
@@ -135,14 +117,14 @@ def certify(m, l, d):
     """Certificate for the (m, l, d) partition problem.
 
     CERTIFIED comes with a witness term, the graded-lex least term of the
-    criterion with all exponents <= d-1. INCONCLUSIVE asserts nothing.
+    criterion with all exponents <= d-1; the criterion is outside
+    (x1^d, ..., xm^d) iff such a term exists. Only those terms are built
+    (_Truncation). INCONCLUSIVE asserts nothing.
     """
     problem = PartitionProblem(m, l, d)
-    crit = criterion_polynomial(m, l)
-    witness = None
-    if not in_monomial_ideal(crit, d):
-        witness = min((t for t in crit.term_tuples() if max(t) <= d - 1),
-                      key=_grlex_key)
+    _check_l(m, l)
+    terms = _Truncation(m).criterion(l, d)
+    witness = min(terms.term_tuples(), key=_grlex_key) if terms else None
     note = ""
     if m == 3 and l > d - 2:
         note = (
@@ -150,7 +132,7 @@ def certify(m, l, d):
             "requires l <= d-2"
         )
     verdict = CERTIFIED if witness is not None else INCONCLUSIVE
-    return Certificate(problem, crit, witness, verdict, note)
+    return Certificate(problem, witness, verdict, note)
 
 
 def _criterion_degree(m, l):
@@ -161,24 +143,27 @@ def _criterion_degree(m, l):
 
 
 class _Truncation:
-    """Criterion terms under exponent caps, for one min_dimension or
-    equipartition_table call: the capped powers it builds are shared by
-    every (l, d) of that call and go with it."""
+    """Criterion terms under exponent caps, for one certify,
+    criterion_polynomial, min_dimension or equipartition_table call: the
+    capped powers it builds are shared by every (l, d) of that call and go
+    with it."""
 
     def __init__(self, m):
         self.m = m
-        self.even = _even_factor(m)
+        # P_{m-1}(x2..xm) / (x2...xm), embedded in m variables
+        pm1 = PolyGF2(m, [(0,) + t for t in dickson_moore(m - 1).term_tuples()])
+        self.even = pm1.divide_by_monomial(_rest(m))
         self.powers = {}  # (k, caps) -> capped (P_m / x1)^k
 
     def power(self, k, caps):
-        """(P_m / x1)^k without its terms that pass caps, by the squaring
-        of _quotient_power: a squared term stays within caps iff the term
-        stays within caps // 2."""
+        """(P_m / x1)^k for k >= 1 without its terms that pass caps, by
+        Frobenius squaring, q^k = (q^(k >> 1))^2 * q^(k & 1): a squared
+        term stays within caps iff the term stays within caps // 2."""
         key = (k, caps)
         p = self.powers.get(key)
         if p is None:
-            if k <= 1:
-                p = _quotient_power(self.m, k)._capped(caps)
+            if k == 1:
+                p = _quotient_power(self.m)._capped(caps)
             else:
                 p = self.power(k >> 1, tuple(c >> 1 for c in caps))._squared()
                 if k & 1:
@@ -187,8 +172,14 @@ class _Truncation:
         return p
 
     def criterion(self, l, d):
-        """The terms of criterion_polynomial(m, l) with every exponent <= d-1."""
+        """The terms of criterion_polynomial(m, l) with every exponent <= d-1.
+
+        Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
+        Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm)
+        """
         m = self.m
+        # caps past the degree drop nothing, and must fit the exponent field
+        d = min(d, _criterion_degree(m, l) + 1, EXP_MAX)
         if l % 2:
             # the division by x2...xm lowers x2..xm by one afterwards
             caps = (d - 1,) + (d,) * (m - 1)

@@ -8,6 +8,7 @@ All machine-readable output carries "schema": "equibox/1".
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 # measures and solver pull in numpy; the numerical commands
@@ -271,7 +272,14 @@ def dispatch(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (say `| head`): exit 1 without a message, and point
+        # stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

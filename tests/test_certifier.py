@@ -17,7 +17,7 @@ from equibox.certifier import (
     min_dimension,
 )
 from equibox.dickson import dickson_product
-from equibox.gf2poly import PolyGF2
+from equibox.gf2poly import PolyGF2, _grlex_key
 
 
 def min_dimension_incremental(m, l, d_cap=4096):
@@ -27,6 +27,17 @@ def min_dimension_incremental(m, l, d_cap=4096):
         if certify(m, l, d).verdict == CERTIFIED:
             return d
     raise RuntimeError("no certified dimension below %d" % d_cap)
+
+
+def certify_full_expansion(m, l, d):
+    """(verdict, witness) from the definition: the whole criterion, its
+    membership in (x1^d, ..., xm^d), then the graded-lex least term with
+    every exponent <= d-1; the reference for certify."""
+    crit = criterion_polynomial(m, l)
+    if in_monomial_ideal(crit, d):
+        return INCONCLUSIVE, None
+    return CERTIFIED, min((t for t in crit.term_tuples() if max(t) <= d - 1),
+                          key=_grlex_key)
 
 
 def min_dimension_full_expansion(m, l):
@@ -71,7 +82,7 @@ def test_m3_even_matches_direct_form(k):
                          + [(5, l) for l in range(1, 6)])
 def test_criterion_matches_product_reference(m, l):
     # reference built from the product form and repeated-squaring __pow__,
-    # independent of the Moore form and of _quotient_power
+    # independent of the Moore form and of _Truncation
     e1 = (1,) + (0,) * (m - 1)
     rest = (0,) + (1,) * (m - 1)
     q = dickson_product(m).divide_by_monomial(e1)
@@ -120,7 +131,7 @@ def test_certify_tri_witness():
     cert = certify(3, 6, 8)
     assert cert.verdict == CERTIFIED
     assert cert.witness in {(7, 7, 5), (7, 5, 7)}
-    terms = cert.criterion.term_tuples()
+    terms = criterion_polynomial(3, 6).term_tuples()
     assert (7, 7, 5) in terms and (7, 5, 7) in terms
 
 
@@ -137,7 +148,44 @@ def test_certified_witness_bounds():
     cert = certify(3, 4, 7)
     assert cert.verdict == CERTIFIED
     assert all(e <= 6 for e in cert.witness)
-    assert cert.criterion.coefficient(cert.witness) == 1
+    assert criterion_polynomial(3, 4).coefficient(cert.witness) == 1
+
+
+@pytest.mark.parametrize("m, l", [(2, l) for l in range(1, 31)]
+                         + [(3, l) for l in range(1, 15)]
+                         + [(4, l) for l in range(1, 9)]
+                         + [(5, l) for l in range(1, 5)])
+def test_certify_matches_its_definition(m, l):
+    # around the least certified d, one d past the degree, and a d past the
+    # exponent range, which certify must clamp rather than overflow
+    d_min = min_dimension(m, l)
+    ds = list(range(max(1, d_min - 2), d_min + 4))
+    ds += [_criterion_degree(m, l) + 2, 70000]
+    for d in ds:
+        cert = certify(m, l, d)
+        assert (cert.verdict, cert.witness) == certify_full_expansion(m, l, d)
+
+
+def test_certify_at_the_l_guard():
+    l = 65533  # the largest l for m=2
+    d_min = min_dimension(2, l)
+    for d in (d_min - 1, d_min, d_min + 1, 70000):
+        cert = certify(2, l, d)
+        assert (cert.verdict, cert.witness) == certify_full_expansion(2, l, d)
+
+
+@pytest.mark.parametrize("l, d, witness", [
+    (6, 64, (63, 5, 11, 23, 47, 63)),
+    (5, 64, (62, 3, 7, 15, 31, 63)),
+    (6, 63, None),
+    (6, 40, None),
+])
+def test_m6_certify_past_the_expansion_wall(l, d, witness):
+    # witnesses recorded from the full expansion, which takes 1.7 s for
+    # (6, 5) and 94 s for (6, 6) on a 2-core host
+    cert = certify(6, l, d)
+    assert cert.witness == witness
+    assert cert.verdict == (CERTIFIED if witness else INCONCLUSIVE)
 
 
 def test_m3_dimension_note():

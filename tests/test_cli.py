@@ -45,6 +45,12 @@ def test_certify_exit_codes(capsys):
     assert code == 2 and "INCONCLUSIVE" in out
 
 
+def test_certify_d_past_the_exponent_range(capsys):
+    code, out, _ = run(capsys, "certify", "--m", "2", "--l", "3", "--d", "70000")
+    assert code == 0
+    assert out == "CERTIFIED  (m=2, l=3, d=70000: 8 boxes)\nwitness term: x2^3\n"
+
+
 def test_certify_json(capsys):
     code, out, _ = run(capsys, "certify", "--m", "3", "--l", "2", "--d", "4",
                        "--json")
@@ -349,3 +355,22 @@ def test_cli_import_leaves_numerical_stack_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_closed_stdout_is_not_an_error():
+    # the reader takes 100 bytes of a 1.2 MB output, then closes the pipe
+    root = os.path.dirname(os.path.dirname(equibox.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equibox.cli", "decompose", "--m", "6",
+         "--l", "2", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
