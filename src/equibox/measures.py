@@ -21,18 +21,21 @@ plateau path sorts the projections.
 
 Grids have one model: along a direction w, each cell's mass is spread
 uniformly over its projected interval c.w +- |w|.h / 2 (_cell_intervals).
-Every cell's interval has the same width |w|.h, so the quantile CDF needs
-one sort of the N lower ends and two prefix sums over them (mass and
-mass times lower end); it is continuous, so offsets are found by
-bisection to |mass error| <= 1e-10. A box takes from each cell its mass
-times its fractions between the box's hyperplanes, so the tensor's slab
-and halving sums hold to that tolerance for every direction.
+Every cell's interval has the same width |w|.h, so binning the N lower
+ends at that width (at most max n_i bins) gives the CDF exactly at every
+bin edge, and between two edges it depends only on the cells of two
+bins (ProjectedGridCDF). An offset is the exact root of the linear piece
+that holds its target: no global sort and no bisection, and
+|F(offset) - target| is rounding, within GRID_QUANTILE_TOL. A box takes
+from each cell its mass times its fractions between the box's
+hyperplanes, so the tensor's slab and halving sums hold to rounding for
+every direction.
 
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
 k = 1 for a single hyperplane's median) and every point's side or
-every cell's fractions against them (_membership). A cloud cut projects
-the points once and serves both steps from that projection; a point's
+every cell's fractions against them (_membership). A cut projects the
+measure once and serves both steps from that projection; a point's
 slab index is the number of offsets strictly below it, one comparison
 per offset (_cloud_membership). _combine builds the tensor from the m
 cuts, so a caller that keeps cuts (the solver's memo) recomputes only
@@ -45,7 +48,7 @@ import json
 
 import numpy as np
 
-GRID_QUANTILE_TOL = 1e-10
+GRID_QUANTILE_TOL = 1e-12  # bound on |F(offset) - target| of a grid quantile
 UNIT_NORM_TOL = 1e-12
 GENERATED_VALUES_MAX = 1 << 24  # cloud coordinates or grid cells a generator draws
 
@@ -451,49 +454,97 @@ def _cell_intervals(grid, w):
     in cell_centers order."""
     centers, _ = grid.cell_centers()
     width = float(np.abs(w) @ grid.spacing)
-    return centers @ w - 0.5 * width, width
+    lower = centers @ w
+    lower -= 0.5 * width
+    return lower, width
 
 
 class ProjectedGridCDF:
-    """Continuous CDF of a grid measure projected onto a direction.
+    """Continuous CDF of a grid measure whose cells are spread uniformly
+    over the projected intervals [lower, lower + width] (_cell_intervals).
 
-    Each cell's mass is spread uniformly over its projected interval
-    [a, a + w] (_cell_intervals). All cells share the width w, so a cell
-    lies wholly below t iff a <= t - w and partly below t iff
-    t - w < a <= t. One sort of the lower ends a and two prefix sums over
-    that order, M of mass and S of mass * a, then give
+    In the unit s = (t - start) / width, start the least lower end, cell i
+    starts at s_i = b_i + f_i, in the bin b_i = floor(s_i), 0 <= f_i < 1. All
+    cells share the width, so at s = e + x (0 <= x < 1) the cells of the
+    bins below e - 1 lie wholly below t, those above e wholly above, and
 
-        F(t) = M(t - w) + [t (M(t) - M(t - w)) - (S(t) - S(t - w))] / w,
+        F = C_e - sum_(b_i = e-1) m_i (f_i - x)+ + sum_(b_i = e) m_i (x - f_i)+
 
-    which is piecewise linear and strictly increasing across the support,
-    so bisection can hit any target mass."""
+    with C_e the mass of the bins below e. There are at most max n_i bins,
+    so two bincounts (mass and mass * f) and a prefix sum give F exactly at
+    every bin edge, with no sort of the N lower ends. A target is bracketed
+    between two edges by one searchsorted; between them F is piecewise
+    linear with a breakpoint at the f of each cell of bins e - 1 and e, and
+    those few cells alone are sorted to solve the target's linear piece
+    exactly (_bin_root). Bins, fractions and masses come from one set of
+    arrays, so a cell that rounding puts in a neighbouring bin still counts
+    once."""
 
-    def __init__(self, grid, u):
-        _, masses = grid.cell_centers()
-        a, self.width = _cell_intervals(grid, u)
-        order = np.argsort(a, kind="stable")
-        self.a, masses = a[order], masses[order]
-        self.mass_cum = np.concatenate(([0.0], np.cumsum(masses)))
-        self.moment_cum = np.concatenate(([0.0], np.cumsum(masses * self.a)))
+    def __init__(self, grid, lower, width):
+        _, self.masses = grid.cell_centers()
+        self.start, self.width = float(lower.min()), width
+        s = lower - self.start  # in place below: a temporary per step of
+        s /= width              # N values costs page faults, not flops
+        self.bins = s.astype(np.intp)  # s >= 0, so this is the floor
+        s -= self.bins
+        self.frac = s
+        mass = np.bincount(self.bins, weights=self.masses)
+        frac_moment = np.bincount(self.bins, weights=self.masses * s)
+        self.mass_below = np.concatenate(([0.0], np.cumsum(mass)))  # C_e
+        self.edge_values = self.mass_below - np.concatenate(([0.0], frac_moment))
 
     def value(self, t):
-        i, j = np.searchsorted(self.a, (t - self.width, t), side="right")
-        inside = self.mass_cum[j] - self.mass_cum[i]
-        moment = self.moment_cum[j] - self.moment_cum[i]
-        return float(self.mass_cum[i] + (t * inside - moment) / self.width)
+        s = (t - self.start) / self.width
+        e = int(np.floor(s))
+        if e < 0:
+            return 0.0
+        if e >= len(self.mass_below):
+            return float(self.mass_below[-1])
+        x = s - e
+        lower, upper = self.bins == e - 1, self.bins == e
+        return float(
+            self.mass_below[e]
+            - self.masses[lower] @ np.maximum(self.frac[lower] - x, 0.0)
+            + self.masses[upper] @ np.maximum(x - self.frac[upper], 0.0))
 
-    def quantile(self, target):
-        lo, hi = float(self.a[0]), float(self.a[-1] + self.width)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f = self.value(mid)
-            if abs(f - target) <= GRID_QUANTILE_TOL:
-                return mid
-            if f < target:
-                lo = mid
-            else:
-                hi = mid
-        raise RuntimeError("quantile bisection failed to reach tolerance")
+    def quantiles(self, targets):
+        """The least t with F(t) = target, for each target in (0, 1)."""
+        last = len(self.mass_below) - 1
+        # F(edge e) < target <= F(edge e + 1)
+        edges = np.clip(np.searchsorted(self.edge_values, targets) - 1, 0, last)
+        near = np.zeros(last, dtype=bool)
+        near[edges[edges > 0] - 1] = True
+        near[edges[edges < last]] = True
+        cells = np.flatnonzero(near[self.bins])
+        bins, frac, masses = self.bins[cells], self.frac[cells], self.masses[cells]
+        offsets = np.empty(len(edges))
+        for i, (target, e) in enumerate(zip(targets, edges)):
+            upper = bins == e
+            local = upper | (bins == e - 1)
+            x = _bin_root(frac[local], masses[local], upper[local],
+                          target - self.mass_below[e])
+            offsets[i] = self.start + (e + x) * self.width
+        return offsets
+
+
+def _bin_root(frac, masses, upper, r):
+    """Least x in [0, 1] with G(x) = r, where G(x) is the sum over the
+    upper cells of m (x - f)+ minus the sum over the others of m (f - x)+.
+
+    Between its sorted breakpoints f, G(x) = M x - S: M is the mass of the
+    upper cells already started and of the others not yet ended, and S
+    their sum of m f. The first piece whose right end reaches r holds the
+    root; a flat piece (M = 0) holds it only at its left end."""
+    order = np.argsort(frac)
+    xs = np.concatenate(([0.0], frac[order], [1.0]))
+    step = np.where(upper, masses, -masses)[order]  # jump of M at each f
+    ends = ~upper
+    slope = np.cumsum(np.concatenate(([masses[ends].sum()], step)))
+    moment = np.cumsum(np.concatenate(([masses[ends] @ frac[ends]],
+                                       step * xs[1:-1])))
+    k = min(int(np.searchsorted(slope * xs[1:] - moment, r)), len(slope) - 1)
+    x = (r + moment[k]) / slope[k] if slope[k] > 0 else xs[k]
+    return min(max(x, xs[k]), xs[k + 1])
 
 
 def _quantile_targets(l):
@@ -509,8 +560,7 @@ def direction_quantiles(measure, u, l):
     u = _check_direction(u, measure.dim)
     if measure.kind == "point_cloud":
         return _cloud_quantile_offsets(measure.points @ u, measure.weights, targets)
-    cdf = ProjectedGridCDF(measure, u)
-    return np.asarray([cdf.quantile(t) for t in targets])
+    return ProjectedGridCDF(measure, *_cell_intervals(measure, u)).quantiles(targets)
 
 
 # -- box masses --------------------------------------------------------------
@@ -532,8 +582,7 @@ def _membership(measure, w, offsets):
     """
     if measure.kind == "point_cloud":
         return _cloud_membership(measure.points @ w, offsets)
-    a, width = _cell_intervals(measure, w)
-    return np.clip((offsets[:, None] - a) / width, 0.0, 1.0)
+    return _grid_membership(*_cell_intervals(measure, w), offsets)
 
 
 def _cloud_membership(proj, offsets):
@@ -546,10 +595,18 @@ def _cloud_membership(proj, offsets):
     return slab
 
 
+def _grid_membership(lower, width, offsets):
+    """_membership of a grid, from its cell intervals (_cell_intervals),
+    computed in place in the one (k, N) array it returns."""
+    below = np.subtract.outer(offsets, lower)
+    below /= width
+    return np.clip(below, 0.0, 1.0, out=below)
+
+
 def direction_cut(measure, w, k):
     """The cut direction w makes: the offsets of its k-quantile family
     (direction_quantiles) and every unit's membership against them
-    (_membership). A cloud is projected onto w once, for both steps. A
+    (_membership). The measure is projected onto w once, for both steps. A
     box tensor depends on a direction only through its cut, and k = 1 is
     also a single hyperplane's median cut. Both arrays are read-only, so
     that a cut can be shared."""
@@ -560,8 +617,10 @@ def direction_cut(measure, w, k):
                                           _quantile_targets(k))
         member = _cloud_membership(proj, offsets)
     else:
-        offsets = direction_quantiles(measure, w, k)
-        member = _membership(measure, w, offsets)
+        lower, width = _cell_intervals(measure, w)
+        offsets = ProjectedGridCDF(measure, lower, width).quantiles(
+            _quantile_targets(k))
+        member = _grid_membership(lower, width, offsets)
     offsets.flags.writeable = member.flags.writeable = False
     return offsets, member
 
@@ -570,14 +629,18 @@ def _combine(measure, slab, sides, l):
     """The (l+1) x 2^(m-1) box tensor from the parallel family's membership
     slab and the m-1 single hyperplanes' memberships sides.
 
-    A cloud point goes to box (slab, sum side_j << j). A grid cell gives
-    each box its mass times its fraction in the slab times its fraction on
-    the box's side of every hyperplane."""
+    A cloud point goes to box (slab, sum side_j << j), an index built in
+    the least unsigned type that holds the last box: the memoized
+    memberships are uint8/uint16 slabs and bool sides, and widening them
+    to intp on every evaluation cost more than the bincount. A grid cell
+    gives each box its mass times its fraction in the slab times its
+    fraction on the box's side of every hyperplane."""
     m = len(sides) + 1
     if measure.kind == "point_cloud":
-        flat = slab.astype(np.intp) << (m - 1)
+        flat = slab.astype(np.min_scalar_type(((l + 1) << (m - 1)) - 1))
+        flat <<= m - 1
         for j, side in enumerate(sides):
-            flat |= side.astype(np.intp) << j
+            flat |= np.left_shift(side, j, dtype=flat.dtype)
         tensor = np.bincount(flat, weights=measure.weights,
                              minlength=(l + 1) << (m - 1))
         return tensor.reshape(l + 1, 1 << (m - 1))

@@ -55,6 +55,7 @@ from numpy.linalg import norm
 
 from equibox import certifier
 from equibox.measures import (
+    GENERATED_VALUES_MAX,
     Configuration,
     _combine,
     box_mass_tensor,
@@ -213,6 +214,17 @@ def _certified_regime(m, l, d):
     criterion: min_dimension is the least certified d, and a certificate
     for d is one for every larger d."""
     return d >= certifier.min_dimension(m, l)
+
+
+def _check_cut_size(measure, l):
+    """Refuse a grid whose parallel cut, l fractions for each of its N cells
+    as float64, would hold more than GENERATED_VALUES_MAX values."""
+    if measure.kind == "grid" and l * measure.cells.size > GENERATED_VALUES_MAX:
+        raise ValueError(
+            "l=%d on a grid of %d cells needs a parallel cut of %d values, "
+            "above %d; the largest l is %d"
+            % (l, measure.cells.size, l * measure.cells.size,
+               GENERATED_VALUES_MAX, GENERATED_VALUES_MAX // measure.cells.size))
 
 
 def _check_tol(tol):
@@ -429,10 +441,12 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     direction pairs are tolerated during the search but never end it, and
     a best configuration flagged collinear is reported degenerate, not
     accepted. A measure of dimension d < 2 (where every two directions are
-    collinear), a tol that is not a finite positive number, maxfev < 1,
-    a negative seed, a coarse_grid that is negative, set for d != 2 or above
-    COARSE_GRID_MAX_COMBOS combinations, and point-cloud tolerances below
-    the quantization floor (3 * max weight) are rejected up front.
+    collinear), a grid whose parallel cut would hold more than
+    GENERATED_VALUES_MAX values (_check_cut_size), a tol that is not a
+    finite positive number, maxfev < 1, a negative seed, a coarse_grid that
+    is negative, set for d != 2 or above COARSE_GRID_MAX_COMBOS
+    combinations, and point-cloud tolerances below the quantization floor
+    (3 * max weight) are rejected up front.
     """
     d = measure.dim
     if d < 2:
@@ -443,6 +457,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         raise ValueError("m must be in [2, 6]")
     if l < 1:
         raise ValueError("l must be >= 1")
+    _check_cut_size(measure, l)
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
     _check_tol(tol)
@@ -538,6 +553,7 @@ class VerificationReport:
 def verify_configuration(measure, config, tol):
     """Recompute all box masses from scratch and gate on max |mass - rho|."""
     _check_tol(tol)
+    _check_cut_size(measure, config.l)
     tensor = box_mass_tensor(measure, config)
     target = rho(config.l, config.m)
     max_dev = float(np.abs(tensor - target).max())

@@ -288,6 +288,36 @@ def test_oversized_l_is_error(capsys, argv):
     assert err.count("\n") == 1 and "largest l is 65533" in err
 
 
+def _ones_grid(tmp_path, n):
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],
+                                   "spacing": [0.5, 0.5], "shape": [n, n],
+                                   "data": [1.0] * (n * n)}))
+    return measure
+
+
+def test_solve_oversized_grid_cut_is_error(tmp_path, capsys):
+    # 4097 offsets on 64 x 64 cells: a 16,781,312-value parallel cut,
+    # refused before the regime check and before any cut is made
+    code, out, err = run(capsys, "solve", "--input", str(_ones_grid(tmp_path, 64)),
+                         "--l", "4097", "--m", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "largest l is 4096" in err
+
+
+def test_verify_oversized_grid_cut_is_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]],
+                                  "parallel_offsets": [0.5] * 4097,
+                                  "extra_offsets": [0.5]}))
+    code, out, err = run(capsys, "verify", "--input", str(_ones_grid(tmp_path, 64)),
+                         "--config", str(config), "--tol", "0.1")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "largest l is 4096" in err
+
+
 def test_decompose_oversized_l_is_error(capsys):
     code, out, err = run(capsys, "decompose", "--m", "2", "--l", "723")
     assert code == 1 and out == ""

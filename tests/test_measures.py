@@ -13,6 +13,8 @@ from equibox.measures import (
     MeasureFormatError,
     PointCloud,
     ProjectedGridCDF,
+    _bin_root,
+    _cell_intervals,
     _cloud_membership,
     _combine,
     _membership,
@@ -167,7 +169,7 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
         else:
             u = rng.standard_normal(d)
             u /= np.linalg.norm(u)
-        cdf = ProjectedGridCDF(g, u)
+        cdf = ProjectedGridCDF(g, *_cell_intervals(g, u))
         # oracle: each cell's mass spread uniformly over c.u +- |u|.h/2
         width = np.abs(u) @ g.spacing
         lower = centers @ u - width / 2
@@ -177,8 +179,144 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
         for t in ts:
             expect = masses @ np.clip((t - lower) / width, 0.0, 1.0)
             assert abs(cdf.value(t) - expect) <= 1e-12
-        for q in np.concatenate([[1e-6, 0.5, 1 - 1e-6], rng.uniform(0, 1, 10)]):
-            assert abs(cdf.value(cdf.quantile(q)) - q) <= GRID_QUANTILE_TOL
+        qs = np.concatenate([[1e-6, 0.5, 1 - 1e-6], rng.uniform(0, 1, 10)])
+        for q, t in zip(qs, cdf.quantiles(qs)):
+            assert abs(cdf.value(t) - q) <= GRID_QUANTILE_TOL
+
+
+# reference: the grid CDF before binning, one stable sort of the N lower
+# ends, prefix sums of mass and mass * lower end over that order, and
+# bisection of every target to |F(t) - target| <= 1e-10
+
+class _SortBisectCDF:
+    def __init__(self, grid, u):
+        _, masses = grid.cell_centers()
+        a, self.width = _cell_intervals(grid, u)
+        order = np.argsort(a, kind="stable")
+        self.a, masses = a[order], masses[order]
+        self.mass_cum = np.concatenate(([0.0], np.cumsum(masses)))
+        self.moment_cum = np.concatenate(([0.0], np.cumsum(masses * self.a)))
+
+    def value(self, t):
+        i, j = np.searchsorted(self.a, (t - self.width, t), side="right")
+        inside = self.mass_cum[j] - self.mass_cum[i]
+        moment = self.moment_cum[j] - self.moment_cum[i]
+        return float(self.mass_cum[i] + (t * inside - moment) / self.width)
+
+    def quantile(self, target):
+        lo, hi = float(self.a[0]), float(self.a[-1] + self.width)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            f = self.value(mid)
+            if abs(f - target) <= 1e-10:
+                return mid
+            if f < target:
+                lo = mid
+            else:
+                hi = mid
+        raise RuntimeError("quantile bisection failed to reach tolerance")
+
+
+def _assert_least_roots(grid, u, l):
+    """The offsets of l targets are, by the reference CDF, roots to within
+    GRID_QUANTILE_TOL, least roots (F falls below the target just left of
+    them), no later than the reference's bisection, and nondecreasing."""
+    ref = _SortBisectCDF(grid, u)
+    targets = [(i + 1) / (l + 1) for i in range(l)]
+    offsets = direction_quantiles(grid, u, l)
+    assert np.all(np.diff(offsets) >= 0)
+    step = 1e-6 * ref.width
+    for q, t in zip(targets, offsets):
+        assert abs(ref.value(t) - q) <= GRID_QUANTILE_TOL
+        assert ref.value(t - step) < q
+        assert t <= ref.quantile(q) + step
+    return offsets
+
+
+@pytest.mark.parametrize("d, cells", [(2, 24), (2, 160), (3, 9)])
+def test_grid_quantiles_match_sort_bisect_reference(d, cells):
+    rng = np.random.default_rng(40 + d + cells)
+    g = gaussian_mixture_grid(d, 3, cells, seed=d + cells)
+    for _ in range(12):
+        u = rng.standard_normal(d)
+        _assert_least_roots(g, u / np.linalg.norm(u), int(rng.integers(1, 6)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_quantiles_axis_directions_tie_whole_rows(d):
+    # every cell of a row shares one lower end, so whole rows share a bin
+    rng = np.random.default_rng(50 + d)
+    g = GridDensity(rng.uniform(-1, 1, d), rng.uniform(0.1, 0.4, d),
+                    rng.uniform(0.0, 1.0, (6,) * d))
+    for axis in range(d):
+        for sign in (1.0, -1.0):
+            u = np.zeros(d)
+            u[axis] = sign
+            for l in (1, 2, 5):
+                _assert_least_roots(g, u, l)
+
+
+def _zero_row_grid():
+    # rows 2..5 are empty and every other cell has mass 1/16, exactly, so
+    # F is flat at exactly 1/2 between the lower ends of rows 2 and 6
+    cells = np.ones((8, 4))
+    cells[2:6] = 0.0
+    return GridDensity([-1.0, 0.0], [0.25, 0.5], cells)
+
+
+def test_grid_quantile_on_a_flat_stretch_is_its_left_end():
+    g = _zero_row_grid()
+    u = np.array([1.0, 0.0])
+    offsets = _assert_least_roots(g, u, 3)
+    assert np.allclose(offsets, [-0.75, -0.5, 0.75], rtol=0.0, atol=1e-15)
+    cdf = ProjectedGridCDF(g, *_cell_intervals(g, u))
+    for t in (-0.5, -0.1, 0.3, 0.5):  # the flat stretch [-0.5, 0.5]
+        assert cdf.value(t) == 0.5
+    assert cdf.quantiles([0.5])[0] == -0.5
+    # a piece that is flat from x = 0 holds its root at its left end
+    assert _bin_root(np.array([0.5]), np.array([1.0]), np.array([True]), 0.0) == 0.0
+
+
+def test_grid_quantiles_with_zero_mass_rows_match_reference():
+    rng = np.random.default_rng(60)
+    cells = rng.uniform(0.0, 1.0, (16, 12))
+    cells[[3, 4, 9], :] = 0.0
+    cells[:, [0, 5, 6]] = 0.0
+    g = GridDensity([0.5, -2.0], [0.3, 0.2], cells)
+    for _ in range(20):
+        u = rng.standard_normal(2)
+        _assert_least_roots(g, u / np.linalg.norm(u), int(rng.integers(1, 8)))
+    _assert_least_roots(g, np.array([1.0, 0.0]), 7)
+    _assert_least_roots(g, np.array([0.0, -1.0]), 7)
+
+
+def test_two_by_two_grid_quantiles_and_value_outside_the_support():
+    g = GridDensity([0.0, 0.0], [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+    rng = np.random.default_rng(70)
+    for u in [np.array([1.0, 0.0]), np.array([0.0, 1.0])] + [
+            v / np.linalg.norm(v) for v in rng.standard_normal((8, 2))]:
+        _assert_least_roots(g, u, 3)
+        lower, width = _cell_intervals(g, u)
+        cdf = ProjectedGridCDF(g, lower, width)
+        lo, hi = lower.min(), lower.max() + width
+        for t in (lo - 5.0, lo - 1e-9, lo):
+            assert cdf.value(t) == 0.0
+        for t in (hi, hi + 1e-9, hi + 5.0):
+            assert abs(cdf.value(t) - 1.0) <= 1e-15
+
+
+def test_grid_quantiles_many_targets_on_a_small_grid():
+    # l + 1 far above the cell count: many targets share one bin interval
+    g = GridDensity([0.0, 0.0], [0.5, 0.25], np.arange(1.0, 31.0).reshape(6, 5))
+    rng = np.random.default_rng(80)
+    for u in [np.array([0.0, 1.0])] + [
+            v / np.linalg.norm(v) for v in rng.standard_normal((3, 2))]:
+        for l in (40, 300):
+            _assert_least_roots(g, u, l)
+        offsets, member = direction_cut(g, u, 300)
+        lower, width = _cell_intervals(g, u)
+        assert np.array_equal(
+            member, np.clip((offsets[:, None] - lower) / width, 0.0, 1.0))
 
 
 def test_degenerate_direction_rejected():
@@ -334,6 +472,18 @@ def test_split_tensor_matches_reference_wide_slab_index():
     cfg = complete_configuration(pc, u, extra, 300)
     _, slab = direction_cut(pc, cfg.u, 300)
     assert slab.dtype == np.uint16 and slab.max() == 300
+    assert np.array_equal(box_mass_tensor(pc, cfg), _reference_tensor(pc, cfg))
+
+
+@pytest.mark.parametrize("l, m", [(255, 1), (256, 1), (63, 3), (64, 3),
+                                  (100, 2), (15, 5), (3, 10)])
+def test_cloud_box_index_type_boundaries(l, m):
+    # the box index is uint8 up to box 255 and uint16 past it, whatever the
+    # slab's own type: (255, 1) ends at box 255, (256, 1) at 256; m = 10
+    # shifts a side by 8 bits
+    pc = gaussian_mixture_cloud(2, 2, 2000, seed=38)
+    u, extra = _random_config(np.random.default_rng(l + m), 2, l, m)
+    cfg = complete_configuration(pc, u, extra, l)
     assert np.array_equal(box_mass_tensor(pc, cfg), _reference_tensor(pc, cfg))
 
 

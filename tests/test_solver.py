@@ -24,6 +24,7 @@ from equibox.solver import (
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
     _certified_regime,
+    _check_cut_size,
     _cut_memo,
     _normalize_blocks,
     minimize,
@@ -387,3 +388,12 @@ def test_solver_option_validation():
         solve_equipartition(g, 2, 1)
     with pytest.raises(ValueError):
         solve_equipartition(g, 2, 2, max_restarts=0)
+
+
+def test_grid_cut_size_guard_names_the_largest_l():
+    grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
+    _check_cut_size(grid, 4096)  # 2^24 values: the limit itself passes
+    with pytest.raises(ValueError, match="largest l is 4096"):
+        _check_cut_size(grid, 4097)
+    cloud = PointCloud(np.zeros((4096, 2)), np.ones(4096))
+    _check_cut_size(cloud, 10 ** 6)  # a cloud's slab is one index per point
