@@ -5,42 +5,49 @@ are normalized to total mass 1. A candidate partition is a Configuration
 (one parallel-family direction with l offsets plus m-1 single
 hyperplanes); box_mass_tensor returns the (l+1) x 2^(m-1) mass tensor.
 
+Each variant owns the four steps of a cut, as methods with one protocol:
+project(w) projects the measure onto a direction, quantile_offsets(proj,
+targets) and membership(proj, offsets) read that projection, and
+combine(slab, sides, l) builds the box tensor from the memberships of
+the parallel family and of the m-1 single hyperplanes. The functions
+below (direction_quantiles, direction_cut, box_mass_tensor) only chain
+these steps and never ask which variant they hold.
+
 Boundary convention for point clouds: a point exactly on a hyperplane
 counts toward the lower slab / the 0 side. Ties are measure-zero for
 generic data; the convention just makes reruns reproducible.
 
-Quantile backends differ by variant. Point clouds have a step CDF, so
-an exact quantile generally does not exist: the offset is the midpoint
-of the feasible interval and the per-slab mass error is bounded by the
-largest single weight. With equal weights and no tie next to a cut, the
-offsets come from order statistics: the middle target's rank is found
-by one single-kth selection (np.partition with one kth), its neighbours
-by a max and a min of the two parts, and the other targets recurse into
-the part on their side (_order_stats), O(N log l) in all. Otherwise the
-plateau path sorts the projections.
+PointCloud: the projection is p.w. The step CDF generally has no exact
+quantile, so an offset is the midpoint of the feasible interval and the
+per-slab mass error is bounded by the largest single weight. With equal
+weights and no tie next to a cut, the offsets come from order
+statistics: the middle target's rank is found by one single-kth
+selection (np.partition with one kth), its neighbours by a max and a min
+of the two parts, and the other targets recurse into the part on their
+side (_order_stats), O(N log l) in all. Otherwise the plateau path sorts
+the projections. A point's membership is its side of one offset, or its
+slab index, the number of offsets strictly below it, one comparison per
+offset; combine sums the weights per box with one bincount.
 
-Grids have one model: along a direction w, each cell's mass is spread
-uniformly over its projected interval c.w +- |w|.h / 2 (_cell_intervals).
-Every cell's interval has the same width |w|.h, so binning the N lower
-ends at that width (at most max n_i bins) gives the CDF exactly at every
-bin edge, and between two edges it depends only on the cells of two
-bins (ProjectedGridCDF). An offset is the exact root of the linear piece
-that holds its target: no global sort and no bisection, and
-|F(offset) - target| is rounding, within GRID_QUANTILE_TOL. A box takes
-from each cell its mass times its fractions between the box's
-hyperplanes, so the tensor's slab and halving sums hold to rounding for
-every direction.
+GridDensity: along a direction w, each cell's mass is spread uniformly
+over its projected interval c.w +- |w|.h / 2, and the projection is the
+cells' lower ends and that common width. Binning the N lower ends at the
+width (at most max n_i bins) gives the CDF exactly at every bin edge,
+and between two edges it depends only on the cells of two bins
+(ProjectedGridCDF). An offset is the exact root of the linear piece that
+holds its target: no global sort and no bisection, and |F(offset) -
+target| is rounding, within GRID_QUANTILE_TOL. A cell's membership is
+its fraction below each offset; combine gives a box each cell's mass
+times its fractions between the box's hyperplanes, so the tensor's slab
+and halving sums hold to rounding for every direction.
 
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
-k = 1 for a single hyperplane's median) and every point's side or
-every cell's fractions against them (_membership). A cut projects the
-measure once and serves both steps from that projection; a point's
-slab index is the number of offsets strictly below it, one comparison
-per offset (_cloud_membership). _combine builds the tensor from the m
-cuts, so a caller that keeps cuts (the solver's memo) recomputes only
-the directions that changed. box_mass_tensor takes the same two steps
-with a configuration's given offsets.
+k = 1 for a single hyperplane's median) and the measure's membership
+against them, both from one projection. So a caller that keeps cuts (the
+solver's memo) recomputes only the directions that changed and combines
+the rest. box_mass_tensor takes the membership and combine steps with a
+configuration's given offsets.
 """
 
 import csv
@@ -93,6 +100,45 @@ class PointCloud:
     def max_weight(self):
         return float(self.weights.max())
 
+    def project(self, w):
+        return self.points @ w
+
+    def quantile_offsets(self, proj, targets):
+        """Midpoint-of-feasible-interval quantiles of the weighted step CDF
+        along the projections proj."""
+        if self.weights[0] == self.weights.min() == self.weights.max():
+            fast = _uniform_quantile_offsets(proj, targets)
+            if fast is not None:
+                return fast
+        return _plateau_quantile_offsets(proj, self.weights, targets)
+
+    def membership(self, proj, offsets):
+        """One offset: bool, point strictly above it (p.w > c). k offsets:
+        slab index, the number of offsets strictly below p.w, counted with
+        one comparison per offset and stored as np.min_scalar_type(k); it
+        equals searchsorted(offsets, p.w, "left"), and for k = 1 the bool
+        above."""
+        if len(offsets) == 1:
+            return proj > offsets[0]
+        slab = np.zeros(len(proj), dtype=np.min_scalar_type(len(offsets)))
+        for c in offsets:
+            slab += proj > c
+        return slab
+
+    def combine(self, slab, sides, l):
+        """A point goes to box (slab, sum side_j << j), an index built in the
+        least unsigned type that holds the last box: the memoized
+        memberships are uint8/uint16 slabs and bool sides, and widening them
+        to intp on every evaluation cost more than the bincount."""
+        m = len(sides) + 1
+        flat = slab.astype(np.min_scalar_type(((l + 1) << (m - 1)) - 1))
+        flat <<= m - 1
+        for j, side in enumerate(sides):
+            flat |= np.left_shift(side, j, dtype=flat.dtype)
+        tensor = np.bincount(flat, weights=self.weights,
+                             minlength=(l + 1) << (m - 1))
+        return tensor.reshape(l + 1, 1 << (m - 1))
+
 
 class GridDensity:
     """Axis-aligned grid of cell masses (density * cell volume)."""
@@ -138,6 +184,42 @@ class GridDensity:
             self._flat = (_frozen(centers), _frozen(self.cells.reshape(-1)))
         return self._flat
 
+    def project(self, w):
+        """Lower ends (N,) and common width of the cells' projections onto
+        w, in cell_centers order."""
+        centers, _ = self.cell_centers()
+        width = float(np.abs(w) @ self.spacing)
+        lower = centers @ w
+        lower -= 0.5 * width
+        return lower, width
+
+    def quantile_offsets(self, proj, targets):
+        return ProjectedGridCDF(self, *proj).quantiles(targets)
+
+    def membership(self, proj, offsets):
+        """(k, N) fraction of each cell's projected interval below each
+        offset, computed in place in the one array it returns."""
+        lower, width = proj
+        below = np.subtract.outer(offsets, lower)
+        below /= width
+        return np.clip(below, 0.0, 1.0, out=below)
+
+    def combine(self, slab, sides, l):
+        """A cell gives each box its mass times its fraction in the slab
+        times its fraction on the box's side of every hyperplane."""
+        m = len(sides) + 1
+        _, masses = self.cell_centers()
+        slab_frac = np.diff(slab, axis=0, prepend=0.0, append=1.0)
+        below = [side[0] for side in sides]
+        above = [1.0 - b for b in below]
+        tensor = np.empty((l + 1, 1 << (m - 1)))
+        for bits in range(1 << (m - 1)):
+            side = masses.copy()
+            for j in range(m - 1):
+                side *= above[j] if bits >> j & 1 else below[j]
+            tensor[:, bits] = slab_frac @ side
+        return tensor
+
 
 def rho(l, m):
     """Uniform target mass of a single box."""
@@ -147,16 +229,13 @@ def rho(l, m):
 # -- file formats --------------------------------------------------------
 
 
-def load_measure(path, fmt=None):
-    """Read a measure file; fmt "csv"/"json" or inferred from the suffix."""
+def load_measure(path):
+    """Read a measure file: a point cloud CSV if the name ends in .csv,
+    else a grid JSON."""
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "json"
-    if fmt == "csv":
+    if path.endswith(".csv"):
         return _load_cloud_csv(path)
-    if fmt == "json":
-        return _load_grid_json(path)
-    raise MeasureFormatError("unknown measure format %r" % (fmt,))
+    return _load_grid_json(path)
 
 
 def _load_cloud_csv(path):
@@ -413,15 +492,6 @@ def _order_stats(a, ks, base, below, out):
                                  out)))
 
 
-def _cloud_quantile_offsets(proj, weights, targets):
-    """Midpoint-of-feasible-interval quantiles of a weighted step CDF."""
-    if weights[0] == weights.min() == weights.max():
-        fast = _uniform_quantile_offsets(proj, targets)
-        if fast is not None:
-            return fast
-    return _plateau_quantile_offsets(proj, weights, targets)
-
-
 def _plateau_quantile_offsets(proj, weights, targets):
     order = np.argsort(proj)
     sp = proj[order]
@@ -449,19 +519,9 @@ def _plateau_quantile_offsets(proj, weights, targets):
     return np.asarray(offsets)
 
 
-def _cell_intervals(grid, w):
-    """Lower ends (N,) and common width of the cells' projections onto w,
-    in cell_centers order."""
-    centers, _ = grid.cell_centers()
-    width = float(np.abs(w) @ grid.spacing)
-    lower = centers @ w
-    lower -= 0.5 * width
-    return lower, width
-
-
 class ProjectedGridCDF:
     """Continuous CDF of a grid measure whose cells are spread uniformly
-    over the projected intervals [lower, lower + width] (_cell_intervals).
+    over the projected intervals [lower, lower + width] (GridDensity.project).
 
     In the unit s = (t - start) / width, start the least lower end, cell i
     starts at s_i = b_i + f_i, in the bin b_i = floor(s_i), 0 <= f_i < 1. All
@@ -558,103 +618,25 @@ def direction_quantiles(measure, u, l):
     along u (up to the backend's quantile tolerance)."""
     targets = _quantile_targets(l)
     u = _check_direction(u, measure.dim)
-    if measure.kind == "point_cloud":
-        return _cloud_quantile_offsets(measure.points @ u, measure.weights, targets)
-    return ProjectedGridCDF(measure, *_cell_intervals(measure, u)).quantiles(targets)
+    return measure.quantile_offsets(measure.project(u), targets)
 
 
 # -- box masses --------------------------------------------------------------
 
 
-def _membership(measure, w, offsets):
-    """Where every unit of the measure lies against the sorted offsets
-    along w.
-
-    Cloud, one offset: bool, point strictly above it (p.w > c).
-    Cloud, k offsets: slab index, the number of offsets strictly below
-    p.w, counted with one comparison per offset and stored as
-    np.min_scalar_type(k); it equals searchsorted(offsets, p.w, "left"),
-    and for k = 1 the bool above. Both read the projection p.w through
-    _cloud_membership, which direction_cut calls with the projection its
-    quantiles already made.
-    Grid: (k, N) fraction of each cell's projected interval below each
-    offset (_cell_intervals).
-    """
-    if measure.kind == "point_cloud":
-        return _cloud_membership(measure.points @ w, offsets)
-    return _grid_membership(*_cell_intervals(measure, w), offsets)
-
-
-def _cloud_membership(proj, offsets):
-    """_membership of a cloud, from its projections proj."""
-    if len(offsets) == 1:
-        return proj > offsets[0]
-    slab = np.zeros(len(proj), dtype=np.min_scalar_type(len(offsets)))
-    for c in offsets:
-        slab += proj > c
-    return slab
-
-
-def _grid_membership(lower, width, offsets):
-    """_membership of a grid, from its cell intervals (_cell_intervals),
-    computed in place in the one (k, N) array it returns."""
-    below = np.subtract.outer(offsets, lower)
-    below /= width
-    return np.clip(below, 0.0, 1.0, out=below)
-
-
 def direction_cut(measure, w, k):
     """The cut direction w makes: the offsets of its k-quantile family
     (direction_quantiles) and every unit's membership against them
-    (_membership). The measure is projected onto w once, for both steps. A
-    box tensor depends on a direction only through its cut, and k = 1 is
-    also a single hyperplane's median cut. Both arrays are read-only, so
-    that a cut can be shared."""
+    (measure.membership). The measure is projected onto w once, for both
+    steps. A box tensor depends on a direction only through its cut, and
+    k = 1 is also a single hyperplane's median cut. Both arrays are
+    read-only, so that a cut can be shared."""
     w = _check_direction(w, measure.dim)
-    if measure.kind == "point_cloud":
-        proj = measure.points @ w
-        offsets = _cloud_quantile_offsets(proj, measure.weights,
-                                          _quantile_targets(k))
-        member = _cloud_membership(proj, offsets)
-    else:
-        lower, width = _cell_intervals(measure, w)
-        offsets = ProjectedGridCDF(measure, lower, width).quantiles(
-            _quantile_targets(k))
-        member = _grid_membership(lower, width, offsets)
+    proj = measure.project(w)
+    offsets = measure.quantile_offsets(proj, _quantile_targets(k))
+    member = measure.membership(proj, offsets)
     offsets.flags.writeable = member.flags.writeable = False
     return offsets, member
-
-
-def _combine(measure, slab, sides, l):
-    """The (l+1) x 2^(m-1) box tensor from the parallel family's membership
-    slab and the m-1 single hyperplanes' memberships sides.
-
-    A cloud point goes to box (slab, sum side_j << j), an index built in
-    the least unsigned type that holds the last box: the memoized
-    memberships are uint8/uint16 slabs and bool sides, and widening them
-    to intp on every evaluation cost more than the bincount. A grid cell
-    gives each box its mass times its fraction in the slab times its
-    fraction on the box's side of every hyperplane."""
-    m = len(sides) + 1
-    if measure.kind == "point_cloud":
-        flat = slab.astype(np.min_scalar_type(((l + 1) << (m - 1)) - 1))
-        flat <<= m - 1
-        for j, side in enumerate(sides):
-            flat |= np.left_shift(side, j, dtype=flat.dtype)
-        tensor = np.bincount(flat, weights=measure.weights,
-                             minlength=(l + 1) << (m - 1))
-        return tensor.reshape(l + 1, 1 << (m - 1))
-    _, masses = measure.cell_centers()
-    slab_frac = np.diff(slab, axis=0, prepend=0.0, append=1.0)
-    below = [side[0] for side in sides]
-    above = [1.0 - b for b in below]
-    tensor = np.empty((l + 1, 1 << (m - 1)))
-    for bits in range(1 << (m - 1)):
-        side = masses.copy()
-        for j in range(m - 1):
-            side *= above[j] if bits >> j & 1 else below[j]
-        tensor[:, bits] = slab_frac @ side
-    return tensor
 
 
 def box_mass_tensor(measure, config):
@@ -667,10 +649,10 @@ def box_mass_tensor(measure, config):
     """
     if config.dim != measure.dim:
         raise ValueError("configuration dimension does not match measure")
-    slab = _membership(measure, config.u, config.parallel_offsets)
-    sides = [_membership(measure, v, c)
+    slab = measure.membership(measure.project(config.u), config.parallel_offsets)
+    sides = [measure.membership(measure.project(v), c)
              for v, c in zip(config.extra_dirs, config.extra_offsets[:, None])]
-    return _combine(measure, slab, sides, config.l)
+    return measure.combine(slab, sides, config.l)
 
 
 def complete_configuration(measure, u, extra_dirs, l):

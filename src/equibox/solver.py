@@ -21,15 +21,19 @@ evaluation becomes the restart's candidate.
 
 An evaluation depends on each of its m directions only through that
 direction's cut (measures.direction_cut: quantile offsets plus the
-measure's membership against them). One solve keeps the cuts it made in
-an LRU memo of m + d + coarse_grid entries, keyed by the direction's
-bytes and its offset count, and an evaluation computes only the cuts it
-misses. A Jacobian probe moves one coordinate, so it changes one
+measure's membership against them), and the measure's own combine step
+builds the tensor from the m cuts, whatever its kind. One solve keeps
+the cuts it made in an LRU memo of m + d + coarse_grid entries, keyed by
+the direction's bytes and its offset count, and an evaluation computes
+only the cuts it misses. A Jacobian probe moves one coordinate, so it changes one
 direction; the d probes of one block must leave the base point's other
 m-1 cuts cached, which takes m + d entries. The coarse grid cycles its
-last angle through coarse_grid values, which takes coarse_grid + 1. The
+last angle through coarse_grid values, which takes coarse_grid + 1. A
+Jacobian sweep of the parallel direction can fill the memo with parallel
+cuts, so a grid solve is refused when m + d + coarse_grid of them, l
+fractions per cell each, would pass GENERATED_VALUES_MAX values. The
 memo goes with the solve, and verify_configuration recomputes everything
-from scratch.
+from scratch, one cut at a time.
 
 Whether the problem is in the certified regime is decided by
 d >= certifier.min_dimension(m, l), which works in the truncated ring
@@ -48,7 +52,7 @@ a counterexample, and reports say so.
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.linalg import norm
@@ -57,7 +61,6 @@ from equibox import certifier
 from equibox.measures import (
     GENERATED_VALUES_MAX,
     Configuration,
-    _combine,
     box_mass_tensor,
     direction_cut,
     rho,
@@ -80,17 +83,12 @@ LSQ_TOL = 1e-8  # ftol = xtol = gtol of minimize
 
 @dataclass
 class DeviationTensor:
-    """Box masses minus the uniform target, with its residual norms and
-    the constraint residuals (slab and halving sums), which are zero up to
-    the quantile tolerance by construction."""
+    """Box masses minus the uniform target, with its residual norms."""
 
     values: np.ndarray
-    target: float
     config: Configuration
     residual_max: float
     residual_l2: float
-    slab_sums: np.ndarray
-    halving_sums: np.ndarray
 
 
 def test_map(measure, u, extra_dirs, l, _cuts=None):
@@ -99,37 +97,43 @@ def test_map(measure, u, extra_dirs, l, _cuts=None):
 
     Each direction enters only through its cut (measures.direction_cut):
     (u, l) for the parallel family and (v, 1) for every extra hyperplane;
-    the tensor is their combination. _cuts(w, k), if given, stands in for
-    direction_cut(measure, w, k); solve_equipartition passes its memo
-    (_cut_memo), so an evaluation recomputes only the cuts of directions
-    it has not seen recently. The result is the same bit for bit."""
+    the tensor is their combination (measure.combine). _cuts(w, k), if
+    given, stands in for direction_cut(measure, w, k);
+    solve_equipartition passes its memo (_cut_memo), so an evaluation
+    recomputes only the cuts of directions it has not seen recently. The
+    result is the same bit for bit."""
     if _cuts is None:
         _cuts = functools.partial(direction_cut, measure)
     parallel, slab = _cuts(u, l)
     extra = [_cuts(v, 1) for v in extra_dirs]
     config = Configuration(u, np.atleast_2d(extra_dirs), parallel,
                            [float(offsets[0]) for offsets, _ in extra])
-    tensor = _combine(measure, slab, [side for _, side in extra], l)
+    tensor = measure.combine(slab, [side for _, side in extra], l)
     dev = tensor - rho(config.l, config.m)
-    half = tensor.shape[1]
-    bits = np.arange(half)
-    halving = np.array([
-        tensor[:, (bits >> j) & 1 == 0].sum() - 0.5
-        for j in range(config.m - 1)
-    ])
     return DeviationTensor(
         values=dev,
-        target=rho(config.l, config.m),
         config=config,
         residual_max=float(np.abs(dev).max()),
         residual_l2=float(np.sqrt((dev ** 2).sum())),
-        slab_sums=dev.sum(axis=1),
-        halving_sums=halving,
     )
 
 
+class _Report:
+    """JSON form of a report dataclass: every field under its own name,
+    after _json_values replaces those that are not JSON values, plus the
+    schema tag."""
+
+    def to_dict(self):
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(self._json_values())
+        return {"schema": "equibox/1", **out}
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+
 @dataclass
-class SolveReport:
+class SolveReport(_Report):
     status: str
     config: Configuration | None
     residual_max: float
@@ -142,24 +146,8 @@ class SolveReport:
     evaluations: int
     restart_evaluations: list
 
-    def to_dict(self):
-        return {
-            "schema": "equibox/1",
-            "status": self.status,
-            "config": self.config.to_dict() if self.config is not None else None,
-            "residual_max": self.residual_max,
-            "residual_l2": self.residual_l2,
-            "restarts_used": self.restarts_used,
-            "seed": self.seed,
-            "certified_regime": self.certified_regime,
-            "degenerate": self.degenerate,
-            "note": self.note,
-            "evaluations": self.evaluations,
-            "restart_evaluations": self.restart_evaluations,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def _json_values(self):
+        return {"config": None if self.config is None else self.config.to_dict()}
 
 
 def _normalize_blocks(x, m, d):
@@ -216,15 +204,18 @@ def _certified_regime(m, l, d):
     return d >= certifier.min_dimension(m, l)
 
 
-def _check_cut_size(measure, l):
-    """Refuse a grid whose parallel cut, l fractions for each of its N cells
-    as float64, would hold more than GENERATED_VALUES_MAX values."""
-    if measure.kind == "grid" and l * measure.cells.size > GENERATED_VALUES_MAX:
+def _check_cut_size(measure, l, cuts=1):
+    """Refuse a grid on which `cuts` parallel cuts, each l float64
+    fractions per cell, would hold more than GENERATED_VALUES_MAX values
+    together. A solve's memo can hold m + d + coarse_grid of them; a
+    verification makes one."""
+    values = cuts * l * measure.cells.size if measure.kind == "grid" else 0
+    if values > GENERATED_VALUES_MAX:
         raise ValueError(
-            "l=%d on a grid of %d cells needs a parallel cut of %d values, "
+            "l=%d on a grid of %d cells needs %d cut values (%d x l x cells), "
             "above %d; the largest l is %d"
-            % (l, measure.cells.size, l * measure.cells.size,
-               GENERATED_VALUES_MAX, GENERATED_VALUES_MAX // measure.cells.size))
+            % (l, measure.cells.size, values, cuts, GENERATED_VALUES_MAX,
+               GENERATED_VALUES_MAX // (cuts * measure.cells.size)))
 
 
 def _check_tol(tol):
@@ -441,12 +432,12 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     direction pairs are tolerated during the search but never end it, and
     a best configuration flagged collinear is reported degenerate, not
     accepted. A measure of dimension d < 2 (where every two directions are
-    collinear), a grid whose parallel cut would hold more than
-    GENERATED_VALUES_MAX values (_check_cut_size), a tol that is not a
-    finite positive number, maxfev < 1, a negative seed, a coarse_grid that
-    is negative, set for d != 2 or above COARSE_GRID_MAX_COMBOS
-    combinations, and point-cloud tolerances below the quantization floor
-    (3 * max weight) are rejected up front.
+    collinear), a coarse_grid that is negative, set for d != 2 or above
+    COARSE_GRID_MAX_COMBOS combinations, a grid whose memo of parallel cuts
+    would hold more than GENERATED_VALUES_MAX values (_check_cut_size), a
+    tol that is not a finite positive number, maxfev < 1, a negative seed,
+    and point-cloud tolerances below the quantization floor (3 * max
+    weight) are rejected up front.
     """
     d = measure.dim
     if d < 2:
@@ -457,7 +448,9 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         raise ValueError("m must be in [2, 6]")
     if l < 1:
         raise ValueError("l must be >= 1")
-    _check_cut_size(measure, l)
+    _check_coarse_grid(coarse_grid, m, d)
+    capacity = m + d + coarse_grid  # of the cut memo: module docstring
+    _check_cut_size(measure, l, capacity)
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
     _check_tol(tol)
@@ -465,7 +458,6 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         raise ValueError("maxfev must be >= 1, got %d" % maxfev)
     if seed < 0:
         raise ValueError("seed must be >= 0, got %d" % seed)
-    _check_coarse_grid(coarse_grid, m, d)
     if measure.kind == "point_cloud":
         floor = 3.0 * measure.max_weight
         if tol < floor:
@@ -476,7 +468,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     certified = _certified_regime(m, l, d)
     if maxfev is None:
         maxfev = 400 * m * d
-    cuts = _cut_memo(measure, m + d + coarse_grid)  # capacity: module docstring
+    cuts = _cut_memo(measure, capacity)
 
     def seed_score(x):
         dirs = _normalize_blocks(x, m, d)
@@ -529,25 +521,15 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(_Report):
     box_masses: np.ndarray
     target: float
     max_deviation: float
     passed: bool
     collinear_warning: bool
 
-    def to_dict(self):
-        return {
-            "schema": "equibox/1",
-            "box_masses": [[float(x) for x in row] for row in self.box_masses],
-            "target": self.target,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-            "collinear_warning": self.collinear_warning,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def _json_values(self):
+        return {"box_masses": self.box_masses.tolist()}
 
 
 def verify_configuration(measure, config, tol):

@@ -297,13 +297,14 @@ def _ones_grid(tmp_path, n):
 
 
 def test_solve_oversized_grid_cut_is_error(tmp_path, capsys):
-    # 4097 offsets on 64 x 64 cells: a 16,781,312-value parallel cut,
-    # refused before the regime check and before any cut is made
+    # 1025 offsets on 64 x 64 cells: the memo's m + d = 4 parallel cuts
+    # would hold 16,793,600 values, refused before the regime check and
+    # before any cut is made
     code, out, err = run(capsys, "solve", "--input", str(_ones_grid(tmp_path, 64)),
-                         "--l", "4097", "--m", "2")
+                         "--l", "1025", "--m", "2")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "largest l is 4096" in err
+    assert "largest l is 1024" in err
 
 
 def test_verify_oversized_grid_cut_is_error(tmp_path, capsys):

@@ -14,10 +14,6 @@ from equibox.measures import (
     PointCloud,
     ProjectedGridCDF,
     _bin_root,
-    _cell_intervals,
-    _cloud_membership,
-    _combine,
-    _membership,
     _uniform_quantile_offsets,
     box_mass_tensor,
     complete_configuration,
@@ -30,6 +26,7 @@ from equibox.measures import (
     write_cloud_csv,
     write_grid_json,
 )
+from equibox.solver import test_map as solver_test_map
 
 
 def _centered_gaussian_grid(cells=128, span=4.0):
@@ -169,7 +166,7 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
         else:
             u = rng.standard_normal(d)
             u /= np.linalg.norm(u)
-        cdf = ProjectedGridCDF(g, *_cell_intervals(g, u))
+        cdf = ProjectedGridCDF(g, *g.project(u))
         # oracle: each cell's mass spread uniformly over c.u +- |u|.h/2
         width = np.abs(u) @ g.spacing
         lower = centers @ u - width / 2
@@ -191,7 +188,7 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
 class _SortBisectCDF:
     def __init__(self, grid, u):
         _, masses = grid.cell_centers()
-        a, self.width = _cell_intervals(grid, u)
+        a, self.width = grid.project(u)
         order = np.argsort(a, kind="stable")
         self.a, masses = a[order], masses[order]
         self.mass_cum = np.concatenate(([0.0], np.cumsum(masses)))
@@ -269,7 +266,7 @@ def test_grid_quantile_on_a_flat_stretch_is_its_left_end():
     u = np.array([1.0, 0.0])
     offsets = _assert_least_roots(g, u, 3)
     assert np.allclose(offsets, [-0.75, -0.5, 0.75], rtol=0.0, atol=1e-15)
-    cdf = ProjectedGridCDF(g, *_cell_intervals(g, u))
+    cdf = ProjectedGridCDF(g, *g.project(u))
     for t in (-0.5, -0.1, 0.3, 0.5):  # the flat stretch [-0.5, 0.5]
         assert cdf.value(t) == 0.5
     assert cdf.quantiles([0.5])[0] == -0.5
@@ -296,7 +293,7 @@ def test_two_by_two_grid_quantiles_and_value_outside_the_support():
     for u in [np.array([1.0, 0.0]), np.array([0.0, 1.0])] + [
             v / np.linalg.norm(v) for v in rng.standard_normal((8, 2))]:
         _assert_least_roots(g, u, 3)
-        lower, width = _cell_intervals(g, u)
+        lower, width = g.project(u)
         cdf = ProjectedGridCDF(g, lower, width)
         lo, hi = lower.min(), lower.max() + width
         for t in (lo - 5.0, lo - 1e-9, lo):
@@ -314,7 +311,7 @@ def test_grid_quantiles_many_targets_on_a_small_grid():
         for l in (40, 300):
             _assert_least_roots(g, u, l)
         offsets, member = direction_cut(g, u, 300)
-        lower, width = _cell_intervals(g, u)
+        lower, width = g.project(u)
         assert np.array_equal(
             member, np.clip((offsets[:, None] - lower) / width, 0.0, 1.0))
 
@@ -465,6 +462,19 @@ def test_split_tensor_matches_reference(kind, m):
                               _reference_tensor(measure, cfg))
 
 
+@pytest.mark.parametrize("kind", sorted(SPLIT_MEASURES))
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("l", [1, 2, 5])
+def test_cut_path_matches_verify_path(kind, m, l):
+    # the solver's test_map combines memoizable cuts, verify_configuration
+    # recomputes the tensor from the configuration: the same bits
+    measure = SPLIT_MEASURES[kind]()
+    dirs = np.random.default_rng(10 * l + m).standard_normal((m, measure.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dt = solver_test_map(measure, dirs[0], dirs[1:], l)
+    assert np.array_equal(box_mass_tensor(measure, dt.config) - rho(l, m), dt.values)
+
+
 def test_split_tensor_matches_reference_wide_slab_index():
     # l = 300 offsets need a uint16 slab index
     pc = gaussian_mixture_cloud(2, 2, 3000, seed=35)
@@ -571,10 +581,10 @@ def test_cloud_membership_is_left_searchsorted(k):
                          [offsets[0] - 1, offsets[-1] + 1]])
     pc = PointCloud(np.column_stack([xs, rng.standard_normal(len(xs))]),
                     np.ones(len(xs)))
-    member = _membership(pc, np.array([1.0, 0.0]), offsets)
+    member = pc.membership(pc.project(np.array([1.0, 0.0])), offsets)
     assert member.dtype == (bool if k == 1 else np.min_scalar_type(k))
     assert np.array_equal(member, np.searchsorted(offsets, xs, side="left"))
-    assert np.array_equal(_cloud_membership(xs, offsets), member)
+    assert np.array_equal(pc.membership(xs, offsets), member)
 
 
 @pytest.mark.parametrize("points", ["distinct", "tied"])
@@ -600,7 +610,7 @@ def test_direction_cut_is_independent_of_point_order(points):
         assert np.array_equal(got_member, member[perm])
 
     def tensor(measure, cut):  # cut order: (u, 1), (u, 3), (v1, 1), ...
-        return _combine(measure, cut[1][1], [cut[2][1], cut[4][1]], 3)
+        return measure.combine(cut[1][1], [cut[2][1], cut[4][1]], 3)
 
     assert np.array_equal(tensor(shuffled, got), tensor(base, ref))
 

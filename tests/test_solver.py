@@ -12,6 +12,7 @@ import pytest
 import equibox
 from equibox import certifier
 from equibox.measures import (
+    Configuration,
     GridDensity,
     PointCloud,
     gaussian_mixture_cloud,
@@ -49,12 +50,22 @@ def _two_blob_grid(cells=96):
     return GridDensity([-4, -4], [8 / cells] * 2, dens)
 
 
+def _constraint_sums(dt):
+    """Slab sums and halving sums of the deviations: every slab holds
+    1/(l+1) and every side of an extra hyperplane 1/2 of the mass, so both
+    are zero up to the quantile tolerance."""
+    dev = dt.values
+    bits = np.arange(dev.shape[1])
+    halving = [dev[:, (bits >> j) & 1 == 0].sum() for j in range(dt.config.m - 1)]
+    return np.abs(dev.sum(axis=1)).max(), np.abs(halving).max()
+
+
 def test_map_symmetric_gaussian_near_zero():
     g = _centered_gaussian_grid(256)
     dt = eval_test_map(g, np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), 2)
     assert dt.residual_max < 1e-4
-    assert np.abs(dt.slab_sums).max() < 1e-6
-    assert np.abs(dt.halving_sums).max() < 1e-6
+    slab, halving = _constraint_sums(dt)
+    assert slab < 1e-6 and halving < 1e-6
 
 
 def test_map_slab_sums_definitional():
@@ -63,8 +74,9 @@ def test_map_slab_sums_definitional():
     dirs = rng.standard_normal((2, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dt = eval_test_map(pc, dirs[0], dirs[1:], 3)
-    assert np.abs(dt.slab_sums).max() <= pc.max_weight + 1e-12
-    assert np.abs(dt.halving_sums).max() <= pc.max_weight + 1e-12
+    slab, halving = _constraint_sums(dt)
+    assert slab <= pc.max_weight + 1e-12
+    assert halving <= pc.max_weight + 1e-12
 
 
 def test_map_grid_constraints_hold_for_oblique_directions():
@@ -74,8 +86,8 @@ def test_map_grid_constraints_hold_for_oblique_directions():
         dirs = rng.standard_normal((3, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dt = eval_test_map(g, dirs[0], dirs[1:], 2)
-        assert np.abs(dt.slab_sums).max() <= 1e-9
-        assert np.abs(dt.halving_sums).max() <= 1e-9
+        slab, halving = _constraint_sums(dt)
+        assert slab <= 1e-9 and halving <= 1e-9
 
 
 def test_map_asymmetric_blobs_far_from_zero():
@@ -397,3 +409,36 @@ def test_grid_cut_size_guard_names_the_largest_l():
         _check_cut_size(grid, 4097)
     cloud = PointCloud(np.zeros((4096, 2)), np.ones(4096))
     _check_cut_size(cloud, 10 ** 6)  # a cloud's slab is one index per point
+
+
+def test_solve_cut_size_guard_counts_the_memo():
+    # the memo holds m + d + coarse_grid cuts: 4 at m=2 on a planar grid,
+    # so 2^24 values allow l = 1024 there, and 12 with coarse_grid=8
+    # allow l = 341; max_restarts=0 is refused only after the guard
+    grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
+    with pytest.raises(ValueError, match="max_restarts"):
+        solve_equipartition(grid, 1024, 2, max_restarts=0)
+    with pytest.raises(ValueError, match="largest l is 1024"):
+        solve_equipartition(grid, 1025, 2)
+    with pytest.raises(ValueError, match="max_restarts"):
+        solve_equipartition(grid, 341, 2, coarse_grid=8, max_restarts=0)
+    with pytest.raises(ValueError, match="largest l is 341"):
+        solve_equipartition(grid, 342, 2, coarse_grid=8)
+    # coarse_grid is checked first, so a bad one never sizes the memo
+    with pytest.raises(ValueError, match="coarse_grid must be >= 0"):
+        solve_equipartition(grid, 1025, 2, coarse_grid=-8)
+
+
+def test_verify_keeps_the_one_cut_limit(monkeypatch):
+    # verify makes one cut at a time, so l = 4096 on 64 x 64 cells passes
+    # the guard; the tensor is stubbed to spare the 134 MB cut itself
+    grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
+    monkeypatch.setattr("equibox.solver.box_mass_tensor", lambda measure, config:
+                        np.full((config.l + 1, 2), 1.0 / (2 * config.l + 2)))
+
+    def config(l):
+        return Configuration([1.0, 0.0], [[0.0, 1.0]], np.full(l, 0.5), [0.5])
+
+    assert verify_configuration(grid, config(4096), 0.1).passed
+    with pytest.raises(ValueError, match="largest l is 4096"):
+        verify_configuration(grid, config(4097), 0.1)
