@@ -36,10 +36,14 @@ width (at most max n_i bins) gives the CDF exactly at every bin edge,
 and between two edges it depends only on the cells of two bins
 (ProjectedGridCDF). An offset is the exact root of the linear piece that
 holds its target: no global sort and no bisection, and |F(offset) -
-target| is rounding, within GRID_QUANTILE_TOL. A cell's membership is
-its fraction below each offset; combine gives a box each cell's mass
-times its fractions between the box's hyperplanes, so the tensor's slab
-and halving sums hold to rounding for every direction.
+target| is rounding, within GRID_QUANTILE_TOL. A cell's membership
+against k >= 2 offsets is its fraction in each of the k+1 slabs they
+bound, made once per cut; against one offset it is the fraction below
+it, whose complement is the fraction above. combine gives a box each
+cell's mass times its slab fraction times its fraction on the box's
+side of every single hyperplane, one matrix-vector product per box
+column, so the tensor's slab and halving sums hold to rounding for
+every direction.
 
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
@@ -197,19 +201,39 @@ class GridDensity:
         return ProjectedGridCDF(self, *proj).quantiles(targets)
 
     def membership(self, proj, offsets):
-        """(k, N) fraction of each cell's projected interval below each
-        offset, computed in place in the one array it returns."""
+        """One offset: (1, N), each cell's fraction below it. k >= 2
+        offsets: (k+1, N), each cell's fraction in each of the k+1 slabs.
+
+        The slab fractions are filled in place in the one array returned:
+        row i first holds the clipped fraction below offset i+1; then slab
+        k becomes 1 minus the fraction below offset k, and each slab i >= 1
+        the fraction below offset i+1 minus that below offset i, from the
+        top down so that every row is read before it is overwritten. That is
+        np.diff(below, prepend=0, append=1) bit for bit, without a second
+        (k, N) array."""
         lower, width = proj
-        below = np.subtract.outer(offsets, lower)
+        k = len(offsets)
+        frac = np.empty((k + 1 if k > 1 else 1, len(lower)))
+        below = frac[:k]
+        np.subtract.outer(offsets, lower, out=below)
         below /= width
-        return np.clip(below, 0.0, 1.0, out=below)
+        np.clip(below, 0.0, 1.0, out=below)
+        if k > 1:
+            frac[k] = 1.0 - frac[k - 1]
+            for i in range(k - 1, 0, -1):
+                frac[i] -= frac[i - 1]
+        return frac
 
     def combine(self, slab, sides, l):
         """A cell gives each box its mass times its fraction in the slab
-        times its fraction on the box's side of every hyperplane."""
+        times its fraction on the box's side of every hyperplane. slab is
+        the parallel cut's membership: l+1 slab fractions per cell, or for
+        l = 1 the one fraction below, whose complement is the upper slab;
+        every side is a single hyperplane's fraction below."""
         m = len(sides) + 1
         _, masses = self.cell_centers()
-        slab_frac = np.diff(slab, axis=0, prepend=0.0, append=1.0)
+        if l == 1:
+            slab = np.concatenate((slab, 1.0 - slab))
         below = [side[0] for side in sides]
         above = [1.0 - b for b in below]
         tensor = np.empty((l + 1, 1 << (m - 1)))
@@ -217,7 +241,7 @@ class GridDensity:
             side = masses.copy()
             for j in range(m - 1):
                 side *= above[j] if bits >> j & 1 else below[j]
-            tensor[:, bits] = slab_frac @ side
+            tensor[:, bits] = slab @ side
         return tensor
 
 

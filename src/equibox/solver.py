@@ -30,10 +30,11 @@ direction; the d probes of one block must leave the base point's other
 m-1 cuts cached, which takes m + d entries. The coarse grid cycles its
 last angle through coarse_grid values, which takes coarse_grid + 1. A
 Jacobian sweep of the parallel direction can fill the memo with parallel
-cuts, so a grid solve is refused when m + d + coarse_grid of them, l
-fractions per cell each, would pass GENERATED_VALUES_MAX values. The
-memo goes with the solve, and verify_configuration recomputes everything
-from scratch, one cut at a time.
+cuts, so a grid solve is refused when m + d + coarse_grid of them, l+1
+slab fractions per cell each (GridDensity.membership), would pass
+GENERATED_VALUES_MAX values. The memo goes with the solve, and
+verify_configuration recomputes everything from scratch, one cut at a
+time.
 
 Whether the problem is in the certified regime is decided by
 d >= certifier.min_dimension(m, l), which works in the truncated ring
@@ -205,22 +206,32 @@ def _certified_regime(m, l, d):
 
 
 def _check_cut_size(measure, l, cuts=1):
-    """Refuse a grid on which `cuts` parallel cuts, each l float64
+    """Refuse a grid on which `cuts` parallel cuts, each l+1 float64 slab
     fractions per cell, would hold more than GENERATED_VALUES_MAX values
     together. A solve's memo can hold m + d + coarse_grid of them; a
     verification makes one."""
-    values = cuts * l * measure.cells.size if measure.kind == "grid" else 0
+    values = cuts * (l + 1) * measure.cells.size if measure.kind == "grid" else 0
     if values > GENERATED_VALUES_MAX:
         raise ValueError(
-            "l=%d on a grid of %d cells needs %d cut values (%d x l x cells), "
-            "above %d; the largest l is %d"
+            "l=%d on a grid of %d cells needs %d cut values "
+            "(%d x (l+1) x cells), above %d; the largest l is %d"
             % (l, measure.cells.size, values, cuts, GENERATED_VALUES_MAX,
-               GENERATED_VALUES_MAX // (cuts * measure.cells.size)))
+               GENERATED_VALUES_MAX // (cuts * measure.cells.size) - 1))
 
 
 def _check_tol(tol):
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number, got %r" % tol)
+
+
+def _check_tol_below_target(tol, l, m):
+    """Refuse a tol at or above the box target rho(l, m): under it an
+    empty box would pass, so CONVERGED or PASS would say nothing."""
+    target = rho(l, m)
+    if tol >= target:
+        raise ValueError("tol %g is not below the box target %g = "
+                         "1/((l+1) * 2^(m-1)) at l=%d, m=%d"
+                         % (tol, target, l, m))
 
 
 class _StopRestart(Exception):
@@ -435,9 +446,9 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     collinear), a coarse_grid that is negative, set for d != 2 or above
     COARSE_GRID_MAX_COMBOS combinations, a grid whose memo of parallel cuts
     would hold more than GENERATED_VALUES_MAX values (_check_cut_size), a
-    tol that is not a finite positive number, maxfev < 1, a negative seed,
-    and point-cloud tolerances below the quantization floor (3 * max
-    weight) are rejected up front.
+    tol that is not a finite positive number or not below the box target
+    rho(l, m), maxfev < 1, a negative seed, and point-cloud tolerances
+    below the quantization floor (3 * max weight) are rejected up front.
     """
     d = measure.dim
     if d < 2:
@@ -454,6 +465,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
     _check_tol(tol)
+    _check_tol_below_target(tol, l, m)
     if maxfev is not None and maxfev < 1:
         raise ValueError("maxfev must be >= 1, got %d" % maxfev)
     if seed < 0:
@@ -536,6 +548,7 @@ def verify_configuration(measure, config, tol):
     """Recompute all box masses from scratch and gate on max |mass - rho|."""
     _check_tol(tol)
     _check_cut_size(measure, config.l)
+    _check_tol_below_target(tol, config.l, config.m)
     tensor = box_mass_tensor(measure, config)
     target = rho(config.l, config.m)
     max_dev = float(np.abs(tensor - target).max())

@@ -297,26 +297,44 @@ def _ones_grid(tmp_path, n):
 
 
 def test_solve_oversized_grid_cut_is_error(tmp_path, capsys):
-    # 1025 offsets on 64 x 64 cells: the memo's m + d = 4 parallel cuts
-    # would hold 16,793,600 values, refused before the regime check and
-    # before any cut is made
+    # 1024 offsets on 64 x 64 cells: the memo's m + d = 4 parallel cuts,
+    # 1025 slab fractions per cell each, would hold 16,793,600 values,
+    # refused before the regime check and before any cut is made
     code, out, err = run(capsys, "solve", "--input", str(_ones_grid(tmp_path, 64)),
-                         "--l", "1025", "--m", "2")
+                         "--l", "1024", "--m", "2")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "largest l is 1024" in err
+    assert "largest l is 1023" in err
 
 
 def test_verify_oversized_grid_cut_is_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]],
-                                  "parallel_offsets": [0.5] * 4097,
+                                  "parallel_offsets": [0.5] * 4096,
                                   "extra_offsets": [0.5]}))
     code, out, err = run(capsys, "verify", "--input", str(_ones_grid(tmp_path, 64)),
                          "--config", str(config), "--tol", "0.1")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "largest l is 4096" in err
+    assert "largest l is 4095" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_tol_not_below_the_box_target_is_error(tmp_path, capsys, command):
+    # l=1, m=2: the box target is 1/4, and tol 0.25 would pass an empty box
+    argv = [command, "--input", str(_small_grid(tmp_path)), "--tol", "0.25"]
+    if command == "solve":
+        argv += ["--l", "1", "--m", "2", "--restarts", "2"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]],
+                                      "parallel_offsets": [0.5],
+                                      "extra_offsets": [0.5]}))
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "not below the box target 0.25" in err
 
 
 def test_decompose_oversized_l_is_error(capsys):

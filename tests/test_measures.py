@@ -311,9 +311,17 @@ def test_grid_quantiles_many_targets_on_a_small_grid():
         for l in (40, 300):
             _assert_least_roots(g, u, l)
         offsets, member = direction_cut(g, u, 300)
-        lower, width = g.project(u)
-        assert np.array_equal(
-            member, np.clip((offsets[:, None] - lower) / width, 0.0, 1.0))
+        assert np.array_equal(member, _grid_membership_reference(g, u, offsets))
+
+
+def _grid_membership_reference(grid, u, offsets):
+    # each cell's fraction below each offset; for k >= 2 offsets the k+1
+    # slab fractions between them, bit for bit what np.diff makes of it
+    lower, width = grid.project(u)
+    below = np.clip((offsets[:, None] - lower) / width, 0.0, 1.0)
+    if len(offsets) == 1:
+        return below
+    return np.diff(below, axis=0, prepend=0.0, append=1.0)
 
 
 def test_degenerate_direction_rejected():
@@ -509,7 +517,10 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
             proj = measure.points @ u
             assert np.array_equal(member, np.searchsorted(offsets, proj))
         else:
-            assert member.shape == (k, measure.cells.size)
+            rows = k + 1 if k > 1 else 1
+            assert member.shape == (rows, measure.cells.size)
+            assert np.array_equal(
+                member, _grid_membership_reference(measure, u, offsets))
 
 
 # reference: the equal-weight order statistics before the single-kth

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from equibox.measures import (
     PointCloud,
     gaussian_mixture_cloud,
     gaussian_mixture_grid,
+    rho,
 )
 from equibox.solver import (
     CONVERGED,
@@ -300,7 +302,7 @@ def test_solve_deterministic_bytes():
 def test_solve_uncertified_regime_marked():
     # l=6 parallel cuts in the plane: min certified dimension is 4
     g = _centered_gaussian_grid(48)
-    rep = solve_equipartition(g, 6, 2, tol=0.2, max_restarts=1, seed=0,
+    rep = solve_equipartition(g, 6, 2, tol=0.05, max_restarts=1, seed=0,
                               maxfev=60)
     assert not rep.certified_regime
     assert rep.note == UNCERTIFIED_NOTE
@@ -354,7 +356,7 @@ def test_verify_collinear_warning():
     from equibox.measures import complete_configuration
     u = np.array([1.0, 0.0])
     cfg = complete_configuration(g, u, u[None, :], 2)
-    report = verify_configuration(g, cfg, 1.0)
+    report = verify_configuration(g, cfg, 0.1)
     assert report.collinear_warning
     assert abs(report.box_masses.sum() - 1) < 1e-9
 
@@ -404,34 +406,36 @@ def test_solver_option_validation():
 
 def test_grid_cut_size_guard_names_the_largest_l():
     grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
-    _check_cut_size(grid, 4096)  # 2^24 values: the limit itself passes
-    with pytest.raises(ValueError, match="largest l is 4096"):
-        _check_cut_size(grid, 4097)
+    _check_cut_size(grid, 4095)  # 2^24 values: the limit itself passes
+    with pytest.raises(ValueError, match="largest l is 4095"):
+        _check_cut_size(grid, 4096)
     cloud = PointCloud(np.zeros((4096, 2)), np.ones(4096))
     _check_cut_size(cloud, 10 ** 6)  # a cloud's slab is one index per point
 
 
 def test_solve_cut_size_guard_counts_the_memo():
-    # the memo holds m + d + coarse_grid cuts: 4 at m=2 on a planar grid,
-    # so 2^24 values allow l = 1024 there, and 12 with coarse_grid=8
-    # allow l = 341; max_restarts=0 is refused only after the guard
+    # the memo holds m + d + coarse_grid cuts of l + 1 fractions per cell:
+    # 4 at m=2 on a planar grid, so 2^24 values allow l = 1023 there, and
+    # 12 with coarse_grid=8 allow l = 340; max_restarts=0 is refused only
+    # after the guard
     grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
     with pytest.raises(ValueError, match="max_restarts"):
-        solve_equipartition(grid, 1024, 2, max_restarts=0)
-    with pytest.raises(ValueError, match="largest l is 1024"):
-        solve_equipartition(grid, 1025, 2)
+        solve_equipartition(grid, 1023, 2, max_restarts=0)
+    with pytest.raises(ValueError, match="largest l is 1023"):
+        solve_equipartition(grid, 1024, 2)
     with pytest.raises(ValueError, match="max_restarts"):
-        solve_equipartition(grid, 341, 2, coarse_grid=8, max_restarts=0)
-    with pytest.raises(ValueError, match="largest l is 341"):
-        solve_equipartition(grid, 342, 2, coarse_grid=8)
+        solve_equipartition(grid, 340, 2, coarse_grid=8, max_restarts=0)
+    with pytest.raises(ValueError, match="largest l is 340"):
+        solve_equipartition(grid, 341, 2, coarse_grid=8)
     # coarse_grid is checked first, so a bad one never sizes the memo
     with pytest.raises(ValueError, match="coarse_grid must be >= 0"):
         solve_equipartition(grid, 1025, 2, coarse_grid=-8)
 
 
 def test_verify_keeps_the_one_cut_limit(monkeypatch):
-    # verify makes one cut at a time, so l = 4096 on 64 x 64 cells passes
-    # the guard; the tensor is stubbed to spare the 134 MB cut itself
+    # verify makes one cut at a time, so l = 4095 on 64 x 64 cells passes
+    # the guard; the tensor is stubbed to spare the 134 MB cut itself. The
+    # tol sits below the box target 1/8192, and the guard comes first
     grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
     monkeypatch.setattr("equibox.solver.box_mass_tensor", lambda measure, config:
                         np.full((config.l + 1, 2), 1.0 / (2 * config.l + 2)))
@@ -439,6 +443,38 @@ def test_verify_keeps_the_one_cut_limit(monkeypatch):
     def config(l):
         return Configuration([1.0, 0.0], [[0.0, 1.0]], np.full(l, 0.5), [0.5])
 
-    assert verify_configuration(grid, config(4096), 0.1).passed
-    with pytest.raises(ValueError, match="largest l is 4096"):
-        verify_configuration(grid, config(4097), 0.1)
+    assert verify_configuration(grid, config(4095), 1e-5).passed
+    with pytest.raises(ValueError, match="largest l is 4095"):
+        verify_configuration(grid, config(4096), 0.1)
+
+
+def test_grid_evaluation_holds_one_parallel_cut():
+    # the parallel cut's l + 1 slab fractions per cell are made once, in
+    # the cut, and combine reads them in place: an evaluation's peak is
+    # that one array, not the cut plus copies of it
+    grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
+    l = 1000
+    tracemalloc.start()
+    try:
+        eval_test_map(grid, np.array([0.6, 0.8]), np.array([[0.8, -0.6]]), l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (l + 1) * grid.cells.size * 8
+
+
+def test_tol_at_or_above_the_box_target_is_refused():
+    # at tol >= rho an empty box passes: 48^2, l=2, m=2, tol=0.5 used to
+    # report CONVERGED after one evaluation and PASS with masses 0.07-0.26
+    grid = gaussian_mixture_grid(2, 3, 48, seed=7)
+    target = rho(2, 2)
+    for tol in (0.5, target):
+        with pytest.raises(ValueError, match="not below the box target"):
+            solve_equipartition(grid, 2, 2, tol=tol, max_restarts=1)
+    rep = solve_equipartition(grid, 2, 2, tol=np.nextafter(target, 0),
+                              max_restarts=1, maxfev=1)
+    config = rep.config
+    for tol in (0.5, target):
+        with pytest.raises(ValueError, match="not below the box target"):
+            verify_configuration(grid, config, tol)
+    assert verify_configuration(grid, config, np.nextafter(target, 0)).passed
