@@ -214,9 +214,8 @@ def min_dimension(m, l):
 
 def equipartition_table(m, l_max):
     """Rows (l, min_dimension(m, l)) for l = 2..l_max."""
-    cap = _TABLE_LMAX_CAP.get(m)
-    if cap is None:
-        raise ValueError("m must be in [2, %d]" % MAX_VARS)
+    PartitionProblem(m, 2)  # the first row's problem: refuses a bad m
+    cap = _TABLE_LMAX_CAP[m]
     if not 2 <= l_max <= cap:
         raise ValueError("l_max for m=%d must be in [2, %d], got %r" % (m, cap, l_max))
     trunc = _Truncation(m)

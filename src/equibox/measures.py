@@ -25,9 +25,10 @@ statistics: the middle target's rank is found by one single-kth
 selection (np.partition with one kth), its neighbours by a max and a min
 of the two parts, and the other targets recurse into the part on their
 side (_order_stats), O(N log l) in all. Otherwise the plateau path sorts
-the projections. A point's membership is its side of one offset, or its
-slab index, the number of offsets strictly below it, one comparison per
-offset; combine sums the weights per box with one bincount.
+the projections. A point's membership is its slab index, the number of
+offsets strictly below it, one comparison per offset (for a single
+hyperplane, its side 0 or 1); combine sums the weights per box with one
+bincount.
 
 GridDensity: along a direction w, each cell's mass is spread uniformly
 over its projected interval c.w +- |w|.h / 2, and the projection is the
@@ -37,13 +38,12 @@ and between two edges it depends only on the cells of two bins
 (ProjectedGridCDF). An offset is the exact root of the linear piece that
 holds its target: no global sort and no bisection, and |F(offset) -
 target| is rounding, within GRID_QUANTILE_TOL. A cell's membership
-against k >= 2 offsets is its fraction in each of the k+1 slabs they
-bound, made once per cut; against one offset it is the fraction below
-it, whose complement is the fraction above. combine gives a box each
-cell's mass times its slab fraction times its fraction on the box's
-side of every single hyperplane, one matrix-vector product per box
-column, so the tensor's slab and halving sums hold to rounding for
-every direction.
+against k offsets is its fraction in each of the k+1 slabs they bound,
+made once per cut (for a single hyperplane, its fractions below and
+above). combine gives a box each cell's mass times its slab fraction
+times its fraction on the box's side of every single hyperplane, one
+matrix-vector product per box column, so the tensor's slab and halving
+sums hold to rounding for every direction.
 
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
@@ -117,13 +117,10 @@ class PointCloud:
         return _plateau_quantile_offsets(proj, self.weights, targets)
 
     def membership(self, proj, offsets):
-        """One offset: bool, point strictly above it (p.w > c). k offsets:
-        slab index, the number of offsets strictly below p.w, counted with
-        one comparison per offset and stored as np.min_scalar_type(k); it
-        equals searchsorted(offsets, p.w, "left"), and for k = 1 the bool
-        above."""
-        if len(offsets) == 1:
-            return proj > offsets[0]
+        """Slab index, the number of offsets strictly below p.w, counted
+        with one comparison per offset and stored as
+        np.min_scalar_type(k); it equals searchsorted(offsets, p.w, "left"),
+        and for one offset it is the side, 1 strictly above it."""
         slab = np.zeros(len(proj), dtype=np.min_scalar_type(len(offsets)))
         for c in offsets:
             slab += proj > c
@@ -132,8 +129,9 @@ class PointCloud:
     def combine(self, slab, sides, l):
         """A point goes to box (slab, sum side_j << j), an index built in the
         least unsigned type that holds the last box: the memoized
-        memberships are uint8/uint16 slabs and bool sides, and widening them
-        to intp on every evaluation cost more than the bincount."""
+        memberships are uint8/uint16 slab indices (0/1 for a side), and
+        widening them to intp on every evaluation cost more than the
+        bincount."""
         m = len(sides) + 1
         flat = slab.astype(np.min_scalar_type(((l + 1) << (m - 1)) - 1))
         flat <<= m - 1
@@ -201,8 +199,8 @@ class GridDensity:
         return ProjectedGridCDF(self, *proj).quantiles(targets)
 
     def membership(self, proj, offsets):
-        """One offset: (1, N), each cell's fraction below it. k >= 2
-        offsets: (k+1, N), each cell's fraction in each of the k+1 slabs.
+        """(k+1, N): each cell's fraction in each of the k+1 slabs of the
+        k offsets; for one offset, its fractions below and above it.
 
         The slab fractions are filled in place in the one array returned:
         row i first holds the clipped fraction below offset i+1; then slab
@@ -213,34 +211,28 @@ class GridDensity:
         (k, N) array."""
         lower, width = proj
         k = len(offsets)
-        frac = np.empty((k + 1 if k > 1 else 1, len(lower)))
+        frac = np.empty((k + 1, len(lower)))
         below = frac[:k]
         np.subtract.outer(offsets, lower, out=below)
         below /= width
         np.clip(below, 0.0, 1.0, out=below)
-        if k > 1:
-            frac[k] = 1.0 - frac[k - 1]
-            for i in range(k - 1, 0, -1):
-                frac[i] -= frac[i - 1]
+        frac[k] = 1.0 - frac[k - 1]
+        for i in range(k - 1, 0, -1):
+            frac[i] -= frac[i - 1]
         return frac
 
     def combine(self, slab, sides, l):
         """A cell gives each box its mass times its fraction in the slab
         times its fraction on the box's side of every hyperplane. slab is
-        the parallel cut's membership: l+1 slab fractions per cell, or for
-        l = 1 the one fraction below, whose complement is the upper slab;
-        every side is a single hyperplane's fraction below."""
+        the parallel cut's membership, l+1 slab fractions per cell; sides[j]
+        is single hyperplane j's, its fractions below and above."""
         m = len(sides) + 1
         _, masses = self.cell_centers()
-        if l == 1:
-            slab = np.concatenate((slab, 1.0 - slab))
-        below = [side[0] for side in sides]
-        above = [1.0 - b for b in below]
         tensor = np.empty((l + 1, 1 << (m - 1)))
         for bits in range(1 << (m - 1)):
             side = masses.copy()
-            for j in range(m - 1):
-                side *= above[j] if bits >> j & 1 else below[j]
+            for j, fracs in enumerate(sides):
+                side *= fracs[bits >> j & 1]
             tensor[:, bits] = slab @ side
         return tensor
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import eq
 
+from equibox.dickson import MAX_VARS
 from equibox.gf2poly import PolyGF2, product
 
 # bound on constraint rows x boxes, the entries the constraints take
@@ -100,8 +101,8 @@ def _constraint_entries(m, l):
 
 def build_test_representation(m, l):
     """ActionSpec for l parallel hyperplanes and m-1 single ones."""
-    if not 2 <= m <= 6:
-        raise ValueError("m must be in [2, 6], got %r" % (m,))
+    if not 2 <= m <= MAX_VARS:
+        raise ValueError("m must be in [2, %d], got %r" % (MAX_VARS, m))
     if l < 1:
         raise ValueError("l must be >= 1, got %r" % (l,))
     if _constraint_entries(m, l) > MAX_CONSTRAINT_ENTRIES:
@@ -131,19 +132,18 @@ def build_test_representation(m, l):
         ))
 
     constraints = []
-    zero, one = Fraction(0), Fraction(1)
     for slab in range(l + 1):  # each slab holds exactly 1/(l+1): deviations sum to 0
-        row = [zero] * nboxes
+        row = [0] * nboxes
         for bits in range(half):
-            row[box(slab, bits)] = one
+            row[box(slab, bits)] = 1
         constraints.append(tuple(row))
     for j in range(1, m):  # each extra hyperplane halves the mass
         bit = 1 << (j - 1)
-        row = [zero] * nboxes
+        row = [0] * nboxes
         for slab in range(l + 1):
             for bits in range(half):
                 if not bits & bit:
-                    row[box(slab, bits)] = one
+                    row[box(slab, bits)] = 1
         constraints.append(tuple(row))
 
     return ActionSpec(m, l, tuple(perms), tuple(constraints))

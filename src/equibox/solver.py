@@ -443,22 +443,21 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     direction pairs are tolerated during the search but never end it, and
     a best configuration flagged collinear is reported degenerate, not
     accepted. A measure of dimension d < 2 (where every two directions are
-    collinear), a coarse_grid that is negative, set for d != 2 or above
-    COARSE_GRID_MAX_COMBOS combinations, a grid whose memo of parallel cuts
-    would hold more than GENERATED_VALUES_MAX values (_check_cut_size), a
-    tol that is not a finite positive number or not below the box target
-    rho(l, m), maxfev < 1, a negative seed, and point-cloud tolerances
-    below the quantization floor (3 * max weight) are rejected up front.
+    collinear), an (m, l) that certifier.PartitionProblem refuses (m
+    outside [2, MAX_VARS] or l < 1), a coarse_grid that is negative, set
+    for d != 2 or above COARSE_GRID_MAX_COMBOS combinations, a grid whose
+    memo of parallel cuts would hold more than GENERATED_VALUES_MAX values
+    (_check_cut_size), a tol that is not a finite positive number or not
+    below the box target rho(l, m), maxfev < 1, a negative seed, and
+    point-cloud tolerances below the quantization floor (3 * max weight)
+    are rejected up front.
     """
     d = measure.dim
     if d < 2:
         raise ValueError(
             "measure dimension must be >= 2, got d=%d: every two directions "
             "in R^%d are collinear" % (d, d))
-    if not 2 <= m <= 6:
-        raise ValueError("m must be in [2, 6]")
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    certifier.PartitionProblem(m, l)
     _check_coarse_grid(coarse_grid, m, d)
     capacity = m + d + coarse_grid  # of the cut memo: module docstring
     _check_cut_size(measure, l, capacity)
@@ -545,7 +544,11 @@ class VerificationReport(_Report):
 
 
 def verify_configuration(measure, config, tol):
-    """Recompute all box masses from scratch and gate on max |mass - rho|."""
+    """Recompute all box masses from scratch and gate on max |mass - rho|.
+
+    An m outside [2, MAX_VARS] is refused up front, as solve refuses it
+    (certifier.PartitionProblem): the tensor has 2^(m-1) box columns."""
+    certifier.PartitionProblem(config.m, config.l)
     _check_tol(tol)
     _check_cut_size(measure, config.l)
     _check_tol_below_target(tol, config.l, config.m)

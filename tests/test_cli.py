@@ -319,6 +319,25 @@ def test_verify_oversized_grid_cut_is_error(tmp_path, capsys):
     assert "largest l is 4095" in err
 
 
+@pytest.mark.parametrize("kind", ["cloud", "grid"])
+def test_verify_m_past_the_range_is_error(tmp_path, capsys, kind):
+    # m = 7: six extra hyperplanes. A config's box columns number 2^(m-1),
+    # so verify refuses the m that solve refuses (39 would take 8 TiB)
+    if kind == "cloud":
+        measure = tmp_path / "m.csv"
+        measure.write_text("x1,x2,w\n0,0,1\n1,1,1\n")
+    else:
+        measure = _small_grid(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]] * 6,
+                                  "parallel_offsets": [0.5],
+                                  "extra_offsets": [0.5] * 6}))
+    code, out, err = run(capsys, "verify", "--input", str(measure),
+                         "--config", str(config), "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert err == "error: m must be in [2, 6], got 7\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_tol_not_below_the_box_target_is_error(tmp_path, capsys, command):
     # l=1, m=2: the box target is 1/4, and tol 0.25 would pass an empty box

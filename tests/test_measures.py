@@ -315,12 +315,11 @@ def test_grid_quantiles_many_targets_on_a_small_grid():
 
 
 def _grid_membership_reference(grid, u, offsets):
-    # each cell's fraction below each offset; for k >= 2 offsets the k+1
-    # slab fractions between them, bit for bit what np.diff makes of it
+    # each cell's k+1 slab fractions between the k offsets (below and
+    # above for one offset), bit for bit what np.diff makes of its
+    # fractions below them
     lower, width = grid.project(u)
     below = np.clip((offsets[:, None] - lower) / width, 0.0, 1.0)
-    if len(offsets) == 1:
-        return below
     return np.diff(below, axis=0, prepend=0.0, append=1.0)
 
 
@@ -517,8 +516,7 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
             proj = measure.points @ u
             assert np.array_equal(member, np.searchsorted(offsets, proj))
         else:
-            rows = k + 1 if k > 1 else 1
-            assert member.shape == (rows, measure.cells.size)
+            assert member.shape == (k + 1, measure.cells.size)
             assert np.array_equal(
                 member, _grid_membership_reference(measure, u, offsets))
 
@@ -593,7 +591,7 @@ def test_cloud_membership_is_left_searchsorted(k):
     pc = PointCloud(np.column_stack([xs, rng.standard_normal(len(xs))]),
                     np.ones(len(xs)))
     member = pc.membership(pc.project(np.array([1.0, 0.0])), offsets)
-    assert member.dtype == (bool if k == 1 else np.min_scalar_type(k))
+    assert member.dtype == np.min_scalar_type(k)
     assert np.array_equal(member, np.searchsorted(offsets, xs, side="left"))
     assert np.array_equal(pc.membership(xs, offsets), member)
 
