@@ -78,6 +78,7 @@ class PointCloud:
     """Finitely supported measure: N weighted points in R^d."""
 
     kind = "point_cloud"
+    diff_step = 1e-1  # of the solver's Jacobian: solver module docstring
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float)
@@ -146,6 +147,7 @@ class GridDensity:
     """Axis-aligned grid of cell masses (density * cell volume)."""
 
     kind = "grid"
+    diff_step = 1e-2  # of the solver's Jacobian: solver module docstring
 
     def __init__(self, origin, spacing, cells):
         origin = np.asarray(origin, dtype=float)
@@ -338,6 +340,10 @@ def _mixture_params(d, components, rng):
     if components < 1:
         raise MeasureFormatError(
             "components must be at least 1, got %d" % components)
+    if components * d > GENERATED_VALUES_MAX:
+        raise MeasureFormatError(
+            "mixture would exceed the size guard: components * d = %d means, "
+            "at most %d" % (components * d, GENERATED_VALUES_MAX))
     means = rng.uniform(-1.5, 1.5, size=(components, d))
     sigmas = rng.uniform(0.6, 1.1, size=components)
     weights = rng.uniform(0.5, 1.5, size=components)
@@ -364,8 +370,15 @@ def gaussian_mixture_grid(d, components, cells_per_axis, seed):
     if cells_per_axis < 1:
         raise MeasureFormatError(
             "grid cells per axis must be at least 1, got %d" % cells_per_axis)
-    if cells_per_axis ** d > GENERATED_VALUES_MAX:
+    cells = cells_per_axis ** d
+    if cells > GENERATED_VALUES_MAX:
         raise MeasureFormatError("grid would exceed the cell-count guard")
+    if components * cells > GENERATED_VALUES_MAX:
+        # the density sums one pass over the cells per component
+        raise MeasureFormatError(
+            "grid would exceed the size guard: components * cells = %d "
+            "density terms, at most %d"
+            % (components * cells, GENERATED_VALUES_MAX))
     rng = _seeded_rng(seed)
     means, sigmas, weights = _mixture_params(d, components, rng)
     lo = (means - 3.5 * sigmas[:, None]).min(axis=0)

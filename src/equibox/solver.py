@@ -10,9 +10,12 @@ Each restart is an unconstrained trust-region least-squares solve
 Jacobian, as in the unbounded branch of Branch, Coleman & Li's "trf")
 on the deviation vector, the flattened (l+1) x 2^(m-1) tensor of box
 masses minus the uniform target. Its Jacobian is a 2-point finite
-difference with the relative step DIFF_STEP = 1e-2: a point cloud's map
-is a step function with steps about 1/N high, so the step must span many
-points, and the same step works on the continuous grid map. A restart
+difference at the relative step of the measure's kind (diff_step). A
+point cloud's map is piecewise constant: it jumps by one point weight
+wherever a point crosses a hyperplane, so a probe must move the
+hyperplanes across many points to see the slope rather than the jumps,
+and PointCloud takes 1e-1. A grid's map is continuous, so a small step
+already sees its slope, and GridDensity keeps 1e-2. A restart
 ends at the first evaluation, Jacobian probes included, whose max-norm
 residual is within tol with non-collinear directions; that evaluation is
 the result, not re-evaluated. Otherwise it ends after maxfev test_map
@@ -71,7 +74,6 @@ CONVERGED = "CONVERGED"
 NOT_CONVERGED = "NOT_CONVERGED"
 
 COLLINEAR_TOL = 1e-9
-DIFF_STEP = 1e-2
 COARSE_GRID_MAX_COMBOS = 4096
 UNCERTIFIED_NOTE = "uncertified regime"
 FAILURE_NOTE = (
@@ -269,15 +271,16 @@ def _cut_memo(measure, capacity):
     return cuts
 
 
-def _jacobian(fun, x, f):
-    """2-point forward differences at the relative step DIFF_STEP.
+def _jacobian(fun, x, f, diff_step):
+    """2-point forward differences at the relative step diff_step:
+    coordinate i moves by diff_step * sign(x_i) * |x_i|.
 
     A coordinate that the step would not move falls back to
     sqrt(EPS) * max(1, |x_i|); the divisor is the step as rounded into x.
     The result is Fortran-ordered, so that J^T f and J p sum in the same
     order as in scipy's least_squares, the tests' reference."""
     sign = np.where(x >= 0, 1.0, -1.0)
-    h = DIFF_STEP * sign * np.abs(x)
+    h = diff_step * sign * np.abs(x)
     fallback = EPS ** 0.5 * sign * np.maximum(1.0, np.abs(x))
     h = np.where((x + h) - x == 0, fallback, h)
     jac_t = np.empty((x.size, f.size))
@@ -333,13 +336,15 @@ def _lm_step(J_svd, n_res, Delta, alpha):
     return p, alpha
 
 
-def minimize(fun, x0, max_nfev):
+def minimize(fun, x0, max_nfev, diff_step):
     """Unconstrained trust-region least squares on the residual vector fun(x).
 
     The unbounded branch of the "trf" method (Branch, Coleman & Li 1999)
     with x_scale 1, linear loss and the exact SVD trust-region solver:
-    the initial radius is |x0| (1 at the origin), a step is _lm_step on
-    the 2-point Jacobian, and the radius shrinks to a quarter of the step
+    scipy's least_squares(method="trf", jac="2-point",
+    diff_step=diff_step). The initial radius is |x0| (1 at the origin), a
+    step is _lm_step on the 2-point Jacobian at the relative step
+    diff_step (_jacobian), and the radius shrinks to a quarter of the step
     below a reduction ratio of 0.25 (or at non-finite residuals) and
     doubles above 0.75 when the step reached the boundary. The search stops
     when the gradient's max-norm, the cost reduction or the step falls
@@ -349,7 +354,7 @@ def minimize(fun, x0, max_nfev):
     x = np.array(x0, dtype=float)
     f = fun(x)
     nfev = 1
-    J = _jacobian(fun, x, f)
+    J = _jacobian(fun, x, f, diff_step)
     g = J.T.dot(f)
     cost = 0.5 * np.dot(f, f)
     Delta = norm(x) or 1.0
@@ -392,14 +397,14 @@ def minimize(fun, x0, max_nfev):
             Delta = Delta_new
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = _jacobian(fun, x, f)
+            J = _jacobian(fun, x, f, diff_step)
             g = J.T.dot(f)
         if done:
             break
 
 
 def _local_search(measure, l, m, x0, tol, maxfev, cuts):
-    """One least-squares restart from x0.
+    """One least-squares restart from x0, at measure.diff_step.
 
     Returns (candidate, evaluations). The candidate is the first accepted
     evaluation, which stops the search at once, or else the restart's best
@@ -428,7 +433,7 @@ def _local_search(measure, l, m, x0, tol, maxfev, cuts):
         return dt.values.ravel()
 
     try:
-        minimize(residuals, x0, maxfev)
+        minimize(residuals, x0, maxfev, measure.diff_step)
     except _StopRestart:
         pass
     return best, evals

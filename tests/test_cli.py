@@ -158,11 +158,19 @@ def test_gen_measure_bad_size_is_error(tmp_path, capsys, flag):
     assert not out_path.exists()
 
 
-def test_gen_measure_oversized_cloud_is_error(tmp_path, capsys):
-    # refused before any draw: the coordinates alone would take 16 TB
+@pytest.mark.parametrize("argv", [
+    # the coordinates alone would take 16 TB
+    ("--n", "1000000000000"),
+    # the component means alone would take 16 TB
+    ("--components", "1000000000000", "--n", "10"),
+    # 5,000 passes over 64^2 cells: 2e7 density terms
+    ("--components", "5000", "--grid-cells", "64"),
+], ids=["points", "cloud-components", "grid-components"])
+def test_gen_measure_oversized_cloud_is_error(tmp_path, capsys, argv):
+    # refused before any draw
     out_path = tmp_path / "m.csv"
-    code, out, err = run(capsys, "gen-measure", "--d", "2",
-                         "--n", "1000000000000", "--out", str(out_path))
+    code, out, err = run(capsys, "gen-measure", "--d", "2", *argv,
+                         "--out", str(out_path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "size guard" in err
     assert not out_path.exists()

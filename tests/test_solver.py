@@ -22,7 +22,6 @@ from equibox.measures import (
 )
 from equibox.solver import (
     CONVERGED,
-    DIFF_STEP,
     FAILURE_NOTE,
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
@@ -231,28 +230,41 @@ def _fenced_rosenbrock(x):
     return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0], 0.5 * (x[2] - x[0] * x[1])])
 
 
-def _grid_deviation():
-    grid = gaussian_mixture_grid(2, 3, 48, seed=3)
-
+def _deviation(measure, m, l):
     def residuals(x):
-        dirs = _normalize_blocks(x, 2, 2)
-        return eval_test_map(grid, dirs[0], dirs[1:], 2).values.ravel()
+        dirs = _normalize_blocks(x, m, measure.dim)
+        return eval_test_map(measure, dirs[0], dirs[1:], l).values.ravel()
     return residuals
 
 
+def _grid_deviation():
+    return _deviation(gaussian_mixture_grid(2, 3, 48, seed=3), 2, 2)
+
+
+def _cloud_deviation():
+    return _deviation(gaussian_mixture_cloud(3, 3, 2000, seed=1), 3, 2)
+
+
+# (residual function factory, x0, max_nfev, relative difference step)
 LSQ_REFERENCE_CASES = {
-    "over-determined": (lambda: _exp_fit(0.0), [1.0, 0.0, 0.0], 100),
-    "far-from-origin": (lambda: _exp_fit(1e7), [1.0, 0.0, 1e7], 100),
-    "under-determined": (lambda: _underdetermined, [0.3, 0.2, 0.1, 0.4], 100),
-    "non-finite-steps": (lambda: _fenced_rosenbrock, [2.5, 2.0, 0.5], 100),
-    "test-map-48": (_grid_deviation, [1.0, 0.2, 0.3, 1.0], 30),
+    "over-determined": (lambda: _exp_fit(0.0), [1.0, 0.0, 0.0], 100, 1e-2),
+    "far-from-origin": (lambda: _exp_fit(1e7), [1.0, 0.0, 1e7], 100, 1e-2),
+    "under-determined": (lambda: _underdetermined, [0.3, 0.2, 0.1, 0.4], 100,
+                         1e-2),
+    "non-finite-steps": (lambda: _fenced_rosenbrock, [2.5, 2.0, 0.5], 100,
+                         1e-2),
+    "test-map-48": (_grid_deviation, [1.0, 0.2, 0.3, 1.0], 30,
+                    GridDensity.diff_step),
+    "test-map-cloud": (_cloud_deviation,
+                       [1.0, 0.2, 0.3, 0.1, 1.0, 0.4, 0.3, 0.2, 1.0], 30,
+                       PointCloud.diff_step),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LSQ_REFERENCE_CASES))
 def test_minimize_retraces_scipy_least_squares(case):
     optimize = pytest.importorskip("scipy.optimize")
-    make, x0, max_nfev = LSQ_REFERENCE_CASES[case]
+    make, x0, max_nfev, diff_step = LSQ_REFERENCE_CASES[case]
     fun = make()
 
     def evaluated_points(run):
@@ -264,9 +276,10 @@ def test_minimize_retraces_scipy_least_squares(case):
         run(recorded)
         return np.array(points)
 
-    ours = evaluated_points(lambda f: minimize(f, np.array(x0), max_nfev))
+    ours = evaluated_points(
+        lambda f: minimize(f, np.array(x0), max_nfev, diff_step))
     reference = evaluated_points(lambda f: optimize.least_squares(
-        f, np.array(x0), method="trf", jac="2-point", diff_step=DIFF_STEP,
+        f, np.array(x0), method="trf", jac="2-point", diff_step=diff_step,
         max_nfev=max_nfev))
     assert len(ours) == len(reference)
     np.testing.assert_allclose(ours, reference, rtol=1e-9, atol=1e-15)
@@ -392,6 +405,22 @@ def test_cloud_solves_stay_cheap(measure_seed):
     assert rep.status == CONVERGED
     assert verify_configuration(pc, rep.config, 5e-3).passed
     assert rep.evaluations <= 1000
+
+
+@pytest.mark.parametrize("m,l,d,measure_seed,tol", [
+    (4, 2, 8, 1, 2e-3),
+    (5, 2, 16, 5, 3e-3),
+])
+def test_cloud_solves_at_the_minimal_dimension(m, l, d, measure_seed, tol):
+    # certified problems at d = min_dimension(m, l), where an equipartition
+    # exists; at a 1e-2 difference step both stalled NOT_CONVERGED after
+    # 4,169 and 11,680 evaluations, as the probes saw single point jumps
+    assert d == certifier.min_dimension(m, l)
+    pc = gaussian_mixture_cloud(d, 3, 20000, seed=measure_seed)
+    rep = solve_equipartition(pc, l, m, tol=tol, max_restarts=10, seed=0)
+    assert rep.certified_regime
+    assert rep.status == CONVERGED
+    assert verify_configuration(pc, rep.config, tol).passed
 
 
 def test_solver_option_validation():
