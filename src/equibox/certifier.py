@@ -17,6 +17,9 @@ cap, so the kept terms and their GF(2) coefficients are those of the full
 expansion. certify, min_dimension and equipartition_table only ask
 whether some term has every exponent <= d-1, so they never build the
 terms past d-1; criterion_polynomial is the case whose caps drop nothing.
+min_dimension never decreases in l, so equipartition_table starts each
+row's search at the previous row's d rather than at the degree bound
+(the proof is in its docstring).
 
 The criterion never proves impossibility: a failed test is INCONCLUSIVE.
 """
@@ -37,8 +40,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # accepts. They bound the truncated products its search builds, which
 # grow with the criterion degree (2^m - 2) * l / 2: at the caps the
 # largest product before capping has 2.3e5 terms (m=6; the full m=6, l=6
-# criterion has 7.2e6) and the whole m=6 table takes about 0.5 s on a
-# 2-core x86-64 host.
+# criterion has 7.2e6) and the whole m=6 table takes about 1.2-1.4 s on a
+# 2-core x86-64 host (Intel Xeon, Python 3.11.7), most of it in its last
+# row's certifying d.
 _TABLE_LMAX_CAP = {2: 128, 3: 64, 4: 32, 5: 12, 6: 6}
 
 
@@ -187,10 +191,15 @@ class _Truncation:
         caps = (d - 1,) * m
         return (self.even._capped(caps) * self.power(l // 2, caps))._capped(caps)
 
-    def min_dimension(self, l):
-        # the criterion is homogeneous, and a term of its degree with every
-        # exponent <= d-1 needs m(d-1) >= degree
-        d = 1 + -(-_criterion_degree(self.m, l) // self.m)
+    def min_dimension(self, l, start=1):
+        """Least d >= start that leaves a criterion term under the caps.
+
+        start must not exceed min_dimension(m, l); the search begins at
+        the larger of start and the degree bound: the criterion is
+        homogeneous, and a term of its degree with every exponent <= d-1
+        needs m(d-1) >= degree.
+        """
+        d = max(start, 1 + -(-_criterion_degree(self.m, l) // self.m))
         while not self.criterion(l, d):
             d += 1
         return d
@@ -202,7 +211,9 @@ def min_dimension(m, l):
     certify(m, l, d) holds iff the criterion has a term with every
     exponent <= d-1, so the search works in the truncated ring: for
     d = 1 + ceil(degree / m), d + 1, ... it builds only those terms
-    (_Truncation) and stops at the first d that leaves one. Dropping a
+    (_Truncation) and stops at the first d that leaves one. A single query
+    starts at that degree bound; equipartition_table starts each row at
+    the previous row's d, which is never larger. Dropping a
     term is exact because no product can lower an exponent: a term past
     a cap only ever yields terms past it, so the kept terms and their
     GF(2) coefficients are those of the full expansion. The kept terms
@@ -213,10 +224,32 @@ def min_dimension(m, l):
 
 
 def equipartition_table(m, l_max):
-    """Rows (l, min_dimension(m, l)) for l = 2..l_max."""
+    """Rows (l, min_dimension(m, l)) for l = 2..l_max.
+
+    Each row's search starts at the larger of the degree bound and the
+    previous row's d, because min_dimension(m, l+1) >= min_dimension(m, l).
+    Proof: Q = P_m/x1 is the product of every nonzero linear form except
+    x1, so Q = P_{m-1}(x2..xm) * R, where R is the product of the
+    2^(m-1) - 1 forms that contain x1, other than x1 itself. With the
+    criterion's two shapes (_Truncation.criterion) that gives
+
+        crit(2k+1) = crit(2k) * R,
+        crit(2k+2) = crit(2k+1) * P_{m-1}(x2..xm).
+
+    Every term of a product f*g is a+b for a term a of f and a term b of
+    g (GF(2) can cancel terms but never create one), and a, b >= 0
+    componentwise. So a term of crit(l+1) with every exponent <= d-1
+    needs a term of crit(l) inside the same box: if d does not certify l,
+    it does not certify l+1.
+    """
     PartitionProblem(m, 2)  # the first row's problem: refuses a bad m
     cap = _TABLE_LMAX_CAP[m]
     if not 2 <= l_max <= cap:
         raise ValueError("l_max for m=%d must be in [2, %d], got %r" % (m, cap, l_max))
     trunc = _Truncation(m)
-    return [(l, trunc.min_dimension(l)) for l in range(2, l_max + 1)]
+    rows = []
+    d = 1
+    for l in range(2, l_max + 1):
+        d = trunc.min_dimension(l, start=d)
+        rows.append((l, d))
+    return rows

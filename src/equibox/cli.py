@@ -68,7 +68,7 @@ def _build_parser():
     g.add_argument("--n", type=int, default=10000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--grid-cells", type=int, default=0, dest="grid_cells",
+    g.add_argument("--grid-cells", type=int, default=None, dest="grid_cells",
                    help="emit a grid JSON with this many cells per axis "
                         "instead of a point-cloud CSV")
 
@@ -207,7 +207,7 @@ def _cmd_decompose(args):
 def _cmd_gen_measure(args):
     from equibox import measures
 
-    if args.grid_cells:
+    if args.grid_cells is not None:
         grid = measures.gaussian_mixture_grid(args.d, args.components,
                                               args.grid_cells, args.seed)
         measures.write_grid_json(args.out, grid)

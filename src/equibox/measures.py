@@ -367,9 +367,9 @@ def gaussian_mixture_cloud(d, components, n, seed):
 
 def gaussian_mixture_grid(d, components, cells_per_axis, seed):
     """Grid discretization of the same seeded mixture (window: 3.5 sigma)."""
-    if cells_per_axis < 1:
+    if cells_per_axis < 2:
         raise MeasureFormatError(
-            "grid cells per axis must be at least 1, got %d" % cells_per_axis)
+            "grid cells per axis must be at least 2, got %d" % cells_per_axis)
     cells = cells_per_axis ** d
     if cells > GENERATED_VALUES_MAX:
         raise MeasureFormatError("grid would exceed the cell-count guard")

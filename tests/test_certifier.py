@@ -1,6 +1,9 @@
 """Criterion polynomials, ideal membership, dimensions and the table."""
 
+import itertools
 import math
+import operator
+from functools import reduce
 
 import pytest
 
@@ -92,6 +95,27 @@ def test_criterion_matches_product_reference(m, l):
     else:
         direct = (q ** (l // 2 + 1)).divide_by_monomial(rest)
     assert criterion_polynomial(m, l) == direct
+
+
+def _forms_product(m, subsets):
+    """The product of the linear forms sum(x_i for i in S), S in subsets."""
+    return reduce(operator.mul, (PolyGF2.linear_form(m, s) for s in subsets))
+
+
+@pytest.mark.parametrize("m, l", [(m, l) for m in (2, 3, 4) for l in range(1, 13)]
+                         + [(5, l) for l in range(1, 5)])
+def test_criterion_divides_the_next_row(m, l):
+    # P_m/x1 = P_{m-1}(x2..xm) * R, with R the forms that contain x1 other
+    # than x1 itself, so crit(2k+1) = crit(2k) * R and
+    # crit(2k+2) = crit(2k+1) * P_{m-1}(x2..xm): the identity behind
+    # equipartition_table's start at the previous row's d
+    subsets = [s for r in range(1, m + 1)
+               for s in itertools.combinations(range(m), r)]
+    if l % 2:
+        g = _forms_product(m, [s for s in subsets if 0 not in s])
+    else:
+        g = _forms_product(m, [s for s in subsets if 0 in s and len(s) > 1])
+    assert criterion_polynomial(m, l + 1) == criterion_polynomial(m, l) * g
 
 
 def test_criterion_nonzero_homogeneous():
@@ -299,6 +323,14 @@ def test_table_m3_matches_reference():
     expect = [4, 7, 7, 8, 8] + [13] * 4 + [15, 15, 16, 16] + [25] * 8
     assert [d for _, d in rows] == expect
     assert [l for l, _ in rows] == list(range(2, 23))
+
+
+@pytest.mark.parametrize("m, l_max", [(2, 128), (3, 64), (4, 32), (5, 12), (6, 4)])
+def test_table_rows_match_single_queries(m, l_max):
+    # a single query starts at the degree bound, a table row at the
+    # previous row's d
+    assert equipartition_table(m, l_max) == [
+        (l, min_dimension(m, l)) for l in range(2, l_max + 1)]
 
 
 def test_table_m2():

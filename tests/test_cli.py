@@ -158,6 +158,17 @@ def test_gen_measure_bad_size_is_error(tmp_path, capsys, flag):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cells", ["0", "1", "-3"])
+def test_gen_measure_too_few_grid_cells_is_error(tmp_path, capsys, cells):
+    # 0 is a grid request like any other, not the point-cloud default
+    out_path = tmp_path / "g.json"
+    code, out, err = run(capsys, "gen-measure", "--d", "2", "--grid-cells",
+                         cells, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: grid cells per axis must be at least 2, got %s\n" % cells
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # the coordinates alone would take 16 TB
     ("--n", "1000000000000"),
