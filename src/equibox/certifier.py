@@ -123,18 +123,19 @@ def certify(m, l, d):
     CERTIFIED comes with a witness term, the graded-lex least term of the
     criterion with all exponents <= d-1; the criterion is outside
     (x1^d, ..., xm^d) iff such a term exists. Only those terms are built
-    (_Truncation). INCONCLUSIVE asserts nothing.
+    (_Truncation). INCONCLUSIVE asserts nothing. The note is set when the
+    degree alone leaves no such term: the criterion is homogeneous, and a
+    term with every exponent <= d-1 has degree at most m(d-1).
     """
     problem = PartitionProblem(m, l, d)
     _check_l(m, l)
     terms = _Truncation(m).criterion(l, d)
     witness = min(terms.term_tuples(), key=_grlex_key) if terms else None
     note = ""
-    if m == 3 and l > d - 2:
-        note = (
-            "dimension count: with two extra hyperplanes a certificate "
-            "requires l <= d-2"
-        )
+    degree = _criterion_degree(m, l)
+    if m * (d - 1) < degree:
+        note = ("dimension count: a certificate requires m(d-1) >= %d, the "
+                "criterion's degree; here m(d-1) = %d" % (degree, m * (d - 1)))
     verdict = CERTIFIED if witness is not None else INCONCLUSIVE
     return Certificate(problem, witness, verdict, note)
 

@@ -34,7 +34,6 @@ def _build_parser():
 
     d = sub.add_parser("dickson", parents=[], help="print a Dickson polynomial")
     d.add_argument("--m", type=int, required=True)
-    d.add_argument("--form", choices=["product", "moore"], default="product")
     d.add_argument("--json", action="store_true")
 
     c = sub.add_parser("certify", help="decide the (m, l, d) certificate")
@@ -60,9 +59,8 @@ def _build_parser():
     dec.add_argument("--l", type=int, required=True)
     dec.add_argument("--json", action="store_true")
 
-    g = sub.add_parser("gen-measure", help="write a seeded synthetic measure")
-    g.add_argument("--kind", choices=["gaussian-mixture"],
-                   default="gaussian-mixture")
+    g = sub.add_parser("gen-measure",
+                       help="write a seeded Gaussian-mixture measure")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--components", type=int, default=3)
     g.add_argument("--n", type=int, default=10000)
@@ -93,11 +91,10 @@ def _build_parser():
 
 
 def _cmd_dickson(args):
-    poly = (dickson.dickson_product if args.form == "product"
-            else dickson.dickson_moore)(args.m)
+    poly = dickson.dickson_moore(args.m)
     if args.json:
         print(json.dumps({
-            "schema": SCHEMA, "m": args.m, "form": args.form,
+            "schema": SCHEMA, "m": args.m,
             "polynomial": poly.to_text(), "terms": len(poly),
             "degree": poly.total_degree(),
         }, sort_keys=True))

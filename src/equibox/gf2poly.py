@@ -16,7 +16,6 @@ term is "1" and the zero polynomial is "0".
 
 from __future__ import annotations
 
-import re
 import sys
 from itertools import repeat
 
@@ -88,9 +87,6 @@ def _grlex_key(term):
     return (sum(term), term)
 
 
-_TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
 class PolyGF2:
     """Immutable sparse polynomial over GF(2) in a fixed number of variables."""
 
@@ -125,13 +121,6 @@ class PolyGF2:
     @classmethod
     def one(cls, nvars):
         return cls._from_keys(nvars, frozenset((0,)))
-
-    @classmethod
-    def variable(cls, nvars, i):
-        """The polynomial x_{i+1} (0-based variable index i)."""
-        if not 0 <= i < nvars:
-            raise ValueError("variable index %d out of range" % i)
-        return cls._from_keys(nvars, frozenset((1 << (EXP_BITS * i),)))
 
     @classmethod
     def linear_form(cls, nvars, indices):
@@ -252,21 +241,6 @@ class PolyGF2:
         return PolyGF2._from_keys(
             self.nvars, [k for k in self._keys if not (k ^ o ^ (k + o)) & mask])
 
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = PolyGF2.one(self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base._squared()
-        return result
-
     def divide_by_monomial(self, exponents):
         """Exact quotient by a monomial; every term must be divisible."""
         mu = pack_exponents(tuple(exponents), self.nvars)
@@ -278,10 +252,6 @@ class PolyGF2:
                 raise NonDivisibleError(unpack_key(k, self.nvars))
             keys.add(s)
         return PolyGF2._from_keys(self.nvars, keys)
-
-    def coefficient(self, exponents):
-        """Coefficient (0 or 1) of the given monomial."""
-        return 1 if pack_exponents(tuple(exponents), self.nvars) in self._keys else 0
 
     # -- text form -----------------------------------------------------
 
@@ -300,26 +270,6 @@ class PolyGF2:
             return "0"
         return "+".join(PolyGF2.term_text(t) for t in self.sorted_terms())
 
-    @classmethod
-    def from_text(cls, text, nvars):
-        s = "".join(text.split())
-        if s == "0":
-            return cls.zero(nvars)
-        terms = []
-        for term_text in s.split("+"):
-            exps = [0] * nvars
-            if term_text != "1":
-                for factor in term_text.split("*"):
-                    mobj = _TERM_RE.match(factor)
-                    if mobj is None:
-                        raise ValueError("cannot parse factor %r" % factor)
-                    i = int(mobj.group(1)) - 1
-                    if not 0 <= i < nvars:
-                        raise ValueError("variable index %d out of range" % (i + 1))
-                    exps[i] += int(mobj.group(2)) if mobj.group(2) else 1
-            terms.append(tuple(exps))
-        return cls(nvars, terms)  # duplicate terms rejected there
-
     def __str__(self):
         return self.to_text()
 
@@ -333,6 +283,8 @@ def product(factors):
     is split in the middle and the halves multiplied recursively, so
     every partial product is over a contiguous run of the list.
     """
+    if not factors:
+        raise ValueError("product of an empty list of factors")
     if len(factors) == 1:
         return factors[0]
     mid = len(factors) // 2

@@ -541,8 +541,6 @@ def _plateau_quantile_offsets(proj, weights, targets):
             j -= 1
         if j >= len(vals) - 1:
             offsets.append(float(vals[-1]) + 1.0)
-        elif j < 0:
-            offsets.append(float(vals[0]) - 1.0)
         else:
             offsets.append(0.5 * (float(vals[j]) + float(vals[j + 1])))
     return np.asarray(offsets)

@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import eq
 
-from equibox.dickson import MAX_VARS
-from equibox.gf2poly import PolyGF2, product
+from equibox.dickson import MAX_VARS, forms_product
+from equibox.gf2poly import PolyGF2
 
 # bound on constraint rows x boxes, the entries the constraints take
 MAX_CONSTRAINT_ENTRIES = 1 << 20
@@ -88,11 +88,6 @@ def character_name(chi):
     """Human name of a character: the GF(2) linear form, e.g. 'x1+x3'."""
     parts = ["x%d" % (i + 1) for i, bit in enumerate(chi) if bit]
     return "+".join(parts) if parts else "trivial"
-
-
-def character_form(chi, m):
-    """The character's linear form as a PolyGF2 (zero for trivial)."""
-    return PolyGF2.linear_form(m, [i for i, bit in enumerate(chi) if bit])
 
 
 def _constraint_entries(m, l):
@@ -308,13 +303,7 @@ def index_polynomial(spec, table=None):
     Built by Frobenius levels: with every multiplicity in binary, from the
     top bit down the running product is squared (squaring only doubles
     exponents over GF(2)) and multiplied by the product of the forms whose
-    multiplicity has that bit set. Each level's product runs the forms in
-    mask order through a balanced product tree (gf2poly.product), so each
-    partial product is over part of a coset of a coordinate subspace (an
-    aligned block of masks) and stays small, where a one-by-one product
-    carries every earlier form along. A single-variable form missing from
-    a level is padded in to keep those cosets whole, and the padding is
-    divided out at the end as one monomial.
+    multiplicity has that bit set (dickson.forms_product).
 
     Raises TrivialCharacterError when the trivial character occurs (the
     action has nonzero fixed vectors, so no obstruction exists).
@@ -325,20 +314,11 @@ def index_polynomial(spec, table=None):
     trivial = (0,) * m
     if table.multiplicities.get(trivial, 0):
         raise TrivialCharacterError(table.multiplicities[trivial])
-    forms = [(sum(bit << i for i, bit in enumerate(chi)), chi, k)
+    forms = [(sum(bit << i for i, bit in enumerate(chi)), k)
              for chi, k in table.multiplicities.items() if chi != trivial]
-    one = PolyGF2.one(m)
-    poly = one
-    top = max((k for *_, k in forms), default=0).bit_length()
+    poly = PolyGF2.one(m)
+    top = max((k for _, k in forms), default=0).bit_length()
     for level in reversed(range(top)):
-        # slot `mask` holds the form of that mask or 1, so that every
-        # subtree of the product tree covers an aligned block of masks
-        slots, padded = [one] * (1 << m), [0] * m
-        for mask, chi, k in forms:
-            if not k >> level & 1:
-                if mask & (mask - 1):
-                    continue
-                padded[mask.bit_length() - 1] = 1
-            slots[mask] = character_form(chi, m)
-        poly = poly._squared() * product(slots).divide_by_monomial(padded)
+        poly = poly._squared() * forms_product(
+            m, [mask for mask, k in forms if k >> level & 1])
     return poly

@@ -20,7 +20,7 @@ from equibox.certifier import (
     min_dimension,
 )
 from equibox.dickson import dickson_product
-from equibox.gf2poly import PolyGF2, _grlex_key
+from equibox.gf2poly import PolyGF2, _grlex_key, product
 
 
 def min_dimension_incremental(m, l, d_cap=4096):
@@ -56,7 +56,12 @@ EXPANDABLE = ([(2, l) for l in range(1, 61)] + [(3, l) for l in range(1, 41)]
 
 
 def _xy():
-    return PolyGF2.variable(2, 0), PolyGF2.variable(2, 1)
+    return PolyGF2.linear_form(2, [0]), PolyGF2.linear_form(2, [1])
+
+
+def _power(p, k):
+    """p^k as a product of k copies of p: only __mul__, no squaring."""
+    return product([p] * k) if k else PolyGF2.one(p.nvars)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -64,36 +69,36 @@ def _xy():
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_m2_even_criterion(k):
     x, y = _xy()
-    assert criterion_polynomial(2, 2 * k) == (y * (x + y)) ** k
+    assert criterion_polynomial(2, 2 * k) == _power(y * (x + y), k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4])
 def test_m2_odd_criterion(k):
     x, y = _xy()
-    assert criterion_polynomial(2, 2 * k + 1) == y ** k * (x + y) ** (k + 1)
+    assert criterion_polynomial(2, 2 * k + 1) == _power(y, k) * _power(x + y, k + 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_m3_even_matches_direct_form(k):
     # general construction specializes to (x2+x3) * (P3/x1)^k
     q = dickson_product(3).divide_by_monomial((1, 0, 0))
-    direct = PolyGF2.linear_form(3, [1, 2]) * q ** k
+    direct = PolyGF2.linear_form(3, [1, 2]) * _power(q, k)
     assert criterion_polynomial(3, 2 * k) == direct
 
 
 @pytest.mark.parametrize("m, l", [(m, l) for m in (3, 4) for l in range(1, 9)]
                          + [(5, l) for l in range(1, 6)])
 def test_criterion_matches_product_reference(m, l):
-    # reference built from the product form and repeated-squaring __pow__,
-    # independent of the Moore form and of _Truncation
+    # reference built from the product form and products of copies of
+    # P_m/x1, independent of the Moore form and of _Truncation's squaring
     e1 = (1,) + (0,) * (m - 1)
     rest = (0,) + (1,) * (m - 1)
     q = dickson_product(m).divide_by_monomial(e1)
     if l % 2 == 0:
         pm1 = PolyGF2(m, [(0,) + t for t in dickson_product(m - 1).term_tuples()])
-        direct = pm1.divide_by_monomial(rest) * q ** (l // 2)
+        direct = pm1.divide_by_monomial(rest) * _power(q, l // 2)
     else:
-        direct = (q ** (l // 2 + 1)).divide_by_monomial(rest)
+        direct = _power(q, l // 2 + 1).divide_by_monomial(rest)
     assert criterion_polynomial(m, l) == direct
 
 
@@ -133,14 +138,14 @@ def test_zero_in_every_ideal():
 
 def test_odd_generator_membership_at_d3():
     x, y = _xy()
-    assert in_monomial_ideal(y ** 2 * (x + y) ** 3, 3)
+    assert in_monomial_ideal(_power(y, 2) * _power(x + y, 3), 3)
 
 
 def test_even_generator_nonmembership_at_d3():
     x, y = _xy()
-    p = (y * (x + y)) ** 2
+    p = _power(y * (x + y), 2)
     assert not in_monomial_ideal(p, 3)
-    assert p.coefficient((2, 2)) == 1  # the surviving witness x^2 y^2
+    assert (2, 2) in p.term_tuples()  # the surviving witness x^2 y^2
 
 
 # -- certify -------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_certify_m2_saturation():
     # 2d parallel hyperplanes are not achievable in R^d: brute check at d=3
     d = 3
     x, y = _xy()
-    expansion = (y * (x + y)) ** d
+    expansion = _power(y * (x + y), d)
     assert all(max(t) >= d for t in expansion.term_tuples())
     assert certify(2, 2 * d, d).verdict == INCONCLUSIVE
 
@@ -172,7 +177,7 @@ def test_certified_witness_bounds():
     cert = certify(3, 4, 7)
     assert cert.verdict == CERTIFIED
     assert all(e <= 6 for e in cert.witness)
-    assert criterion_polynomial(3, 4).coefficient(cert.witness) == 1
+    assert cert.witness in criterion_polynomial(3, 4).term_tuples()
 
 
 @pytest.mark.parametrize("m, l", [(2, l) for l in range(1, 31)]
@@ -215,6 +220,23 @@ def test_m6_certify_past_the_expansion_wall(l, d, witness):
 def test_m3_dimension_note():
     assert certify(3, 6, 4).note != ""
     assert certify(3, 2, 4).note == ""
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_dimension_note_iff_degree_bound_fails(m):
+    # a criterion term with every exponent <= d-1 has degree <= m(d-1);
+    # d runs at least to the degree bound, the first d without the note
+    for l in range(1, 7):
+        degree = _criterion_degree(m, l)
+        for d in range(1, 3 + degree // m):
+            cert = certify(m, l, d)
+            assert bool(cert.note) == (m * (d - 1) < degree), (l, d)
+            if cert.note:
+                assert cert.verdict == INCONCLUSIVE
+                assert cert.note == (
+                    "dimension count: a certificate requires m(d-1) >= %d, "
+                    "the criterion's degree; here m(d-1) = %d"
+                    % (degree, m * (d - 1)))
 
 
 # -- minimal dimensions ---------------------------------------------------------

@@ -29,13 +29,16 @@ def test_missing_argument_is_usage_error(capsys):
 
 
 def test_dickson_text_and_json(capsys):
-    code, out, _ = run(capsys, "dickson", "--m", "2", "--form", "moore")
+    code, out, _ = run(capsys, "dickson", "--m", "2")
     assert code == 0
     assert out.strip() == "x1^2*x2+x1*x2^2"
     code, out, _ = run(capsys, "dickson", "--m", "3", "--json")
     obj = json.loads(out)
     assert obj["schema"] == "equibox/1"
     assert obj["terms"] == 6 and obj["degree"] == 7
+    assert obj["polynomial"] == ("x1^4*x2^2*x3+x1^4*x2*x3^2+x1^2*x2^4*x3"
+                                 "+x1^2*x2*x3^4+x1*x2^4*x3^2+x1*x2^2*x3^4")
+    assert sorted(obj) == ["degree", "m", "polynomial", "schema", "terms"]
 
 
 def test_certify_exit_codes(capsys):
@@ -110,9 +113,8 @@ def test_decompose_match(capsys):
 
 def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     measure = tmp_path / "m.csv"
-    code, _, _ = run(capsys, "gen-measure", "--kind", "gaussian-mixture",
-                     "--d", "2", "--components", "2", "--n", "2000",
-                     "--seed", "5", "--out", str(measure))
+    code, _, _ = run(capsys, "gen-measure", "--d", "2", "--components", "2",
+                     "--n", "2000", "--seed", "5", "--out", str(measure))
     assert code == 0 and measure.exists()
 
     report_path = tmp_path / "report.json"

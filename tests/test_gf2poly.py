@@ -1,4 +1,4 @@
-"""Ring laws, spec examples and serialization for the GF(2) polynomials."""
+"""Ring laws, spec examples and text form of the GF(2) polynomials."""
 
 import math
 from collections import Counter
@@ -12,6 +12,7 @@ from equibox.gf2poly import (
     NonDivisibleError,
     PolyGF2,
     VariableMismatchError,
+    product,
 )
 
 
@@ -20,7 +21,7 @@ def P(nvars, *terms):
 
 
 def xyz(n):
-    return [PolyGF2.variable(n, i) for i in range(n)]
+    return [PolyGF2.linear_form(n, [i]) for i in range(n)]
 
 
 # -- strategy: small random polynomials ---------------------------------
@@ -116,30 +117,31 @@ def test_mul_near_exponent_limit(case):
         assert a * b == PolyGF2(nvars, [t for t, c in sums.items() if c % 2])
 
 
-# -- powers ---------------------------------------------------------------
-
-def test_pow_zero():
-    x, y = xyz(2)
-    assert (x + y) ** 0 == PolyGF2.one(2)
-
+# -- powers and products ----------------------------------------------------
 
 def test_pow_frobenius_square():
     x, y = xyz(2)
-    assert (x + y) ** 2 == P(2, (2, 0), (0, 2))
+    assert (x + y)._squared() == P(2, (2, 0), (0, 2))
 
 
 def test_pow_cube_matches_binomial_parity():
     # oracle: (x+y)^n has term x^i y^(n-i) iff C(n, i) is odd (Lucas)
     x, y = xyz(2)
-    for n in (3, 4, 5, 6, 10):
+    for n in (1, 3, 4, 5, 6, 10):
         expect = P(2, *[(i, n - i) for i in range(n + 1) if math.comb(n, i) % 2])
-        assert (x + y) ** n == expect
+        assert product([x + y] * n) == expect
 
 
 def test_pow_overflow_checked():
-    p = P(1, (2,))
+    # squaring doubles exponents: EXP_MAX // 2 is the last one that fits
+    assert P(1, (EXP_MAX // 2,))._squared() == P(1, (EXP_MAX - 1,))
     with pytest.raises(ExponentOverflowError):
-        p ** 33000
+        P(2, (1, EXP_MAX // 2 + 1))._squared()
+
+
+def test_product_of_no_factors_is_error():
+    with pytest.raises(ValueError):
+        product([])
 
 
 # -- monomial division and coefficients -----------------------------------
@@ -174,18 +176,18 @@ def test_divide_non_divisible():
 def test_coefficient_of_certificate_witness():
     # the (7,7,5) coefficient of (x2+x3) * (P3/x1)^3 is 1
     q = _dickson3().divide_by_monomial((1, 0, 0))
-    crit = PolyGF2.linear_form(3, [1, 2]) * q ** 3
-    assert crit.coefficient((7, 7, 5)) == 1
-    assert crit.coefficient((7, 5, 7)) == 1
+    crit = PolyGF2.linear_form(3, [1, 2]) * product([q] * 3)
+    assert (7, 7, 5) in crit.term_tuples()
+    assert (7, 5, 7) in crit.term_tuples()
 
 
 def test_coefficient_of_zero():
-    assert PolyGF2.zero(3).coefficient((1, 2, 3)) == 0
+    assert PolyGF2.zero(3).term_tuples() == frozenset()
 
 
 def test_coefficient_cancelled_cross_term():
     x, y = xyz(2)
-    assert ((x + y) ** 2).coefficient((1, 1)) == 0
+    assert (1, 1) not in ((x + y) * (x + y)).term_tuples()
 
 
 # -- ring laws on random polynomials ---------------------------------------
@@ -199,13 +201,6 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + a == PolyGF2.zero(3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys(2, max_terms=8, max_exp=4),
-       st.integers(0, 8), st.integers(0, 8))
-def test_pow_addition_law(p, a, b):
-    assert p ** (a + b) == p ** a * p ** b
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +242,7 @@ def test_capped_commutes_with_products_and_squares(a, b, caps):
 
 def test_capped_edges():
     x, y = xyz(2)
-    p = x ** 3 + x * y + y ** 2
+    p = x * x * x + x * y + y * y
     assert p._capped((0, 0)) == PolyGF2.zero(2)
     assert p._capped((1, 1)) == x * y
     assert p._capped((EXP_MAX, EXP_MAX)) == p
@@ -262,34 +257,17 @@ def test_capped_edges():
 # -- serialization -----------------------------------------------------------
 
 def test_text_examples():
-    x1, x2, x3 = xyz(3)
     assert PolyGF2.zero(3).to_text() == "0"
     assert PolyGF2.one(3).to_text() == "1"
-    assert (x1 ** 7 * x2 ** 7 * x3 ** 5).to_text() == "x1^7*x2^7*x3^5"
-    assert (x1 + PolyGF2.one(3)).to_text() == "x1+1"
+    assert P(3, (7, 7, 5)).to_text() == "x1^7*x2^7*x3^5"
+    assert P(3, (1, 0, 0), (0, 0, 0)).to_text() == "x1+1"
 
 
 def test_text_graded_lex_order():
     x, y = xyz(2)
-    p = x * y + x ** 3 + y ** 2 + PolyGF2.one(2)
+    p = x * y + x * x * x + y * y + PolyGF2.one(2)
     # degree first, then lexicographic with x1 > x2
     assert p.to_text() == "x1^3+x1*x2+x2^2+1"
-
-
-@settings(max_examples=100, deadline=None)
-@given(polys(3))
-def test_text_roundtrip(p):
-    assert PolyGF2.from_text(p.to_text(), 3) == p
-
-
-def test_from_text_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PolyGF2.from_text("x1+x1", 2)
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        PolyGF2.from_text("x1^2*q3", 3)
 
 
 def test_constructor_rejects_duplicates_and_bad_width():
