@@ -96,6 +96,8 @@ class PointCloud:
             raise MeasureFormatError("total mass must be positive")
         self.points = _frozen(points)
         self.weights = _frozen(weights / total)
+        # the weights are frozen: one test here, not one per cut
+        self._equal_weights = bool(self.weights.min() == self.weights.max())
 
     @property
     def dim(self):
@@ -111,7 +113,7 @@ class PointCloud:
     def quantile_offsets(self, proj, targets):
         """Midpoint-of-feasible-interval quantiles of the weighted step CDF
         along the projections proj."""
-        if self.weights[0] == self.weights.min() == self.weights.max():
+        if self._equal_weights:
             fast = _uniform_quantile_offsets(proj, targets)
             if fast is not None:
                 return fast
@@ -396,15 +398,25 @@ def gaussian_mixture_grid(d, components, cells_per_axis, seed):
 # -- configurations -------------------------------------------------------
 
 
+def _float_field(name, value):
+    """A configuration field as a float array; a value that is not a number
+    or a (nested) list of numbers, such as a JSON object, is a ValueError
+    that names the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError("%s must hold only numbers" % name) from None
+
+
 class Configuration:
     """One parallel family (direction u, l sorted offsets) plus m-1 single
     hyperplanes (directions and offsets)."""
 
     def __init__(self, u, extra_dirs, parallel_offsets, extra_offsets):
-        u = np.asarray(u, dtype=float)
-        extra_dirs = np.asarray(extra_dirs, dtype=float)
-        parallel_offsets = np.asarray(parallel_offsets, dtype=float)
-        extra_offsets = np.asarray(extra_offsets, dtype=float)
+        u = _float_field("u", u)
+        extra_dirs = _float_field("extra_dirs", extra_dirs)
+        parallel_offsets = _float_field("parallel_offsets", parallel_offsets)
+        extra_offsets = _float_field("extra_offsets", extra_offsets)
         if not all(np.all(np.isfinite(a)) for a in
                    (u, extra_dirs, parallel_offsets, extra_offsets)):
             raise ValueError("configuration values must be finite")

@@ -15,12 +15,16 @@ point cloud's map is piecewise constant: it jumps by one point weight
 wherever a point crosses a hyperplane, so a probe must move the
 hyperplanes across many points to see the slope rather than the jumps,
 and PointCloud takes 1e-1. A grid's map is continuous, so a small step
-already sees its slope, and GridDensity keeps 1e-2. A restart
-ends at the first evaluation, Jacobian probes included, whose max-norm
-residual is within tol with non-collinear directions; that evaluation is
-the result, not re-evaluated. Otherwise it ends after maxfev test_map
-evaluations or when minimize stops on its own tolerances, and its best
-evaluation becomes the restart's candidate.
+already sees its slope, and GridDensity keeps 1e-2.
+
+One solve has one residual function, shared by every restart, and one
+best evaluation over all of them (_better: non-collinear before
+collinear, then the lower residual_l2, the earlier on ties). The first
+evaluation, Jacobian probes included, whose max-norm residual is within
+tol with non-collinear directions ends the solve; that evaluation is the
+result, not re-evaluated. Otherwise a restart ends after maxfev test_map
+evaluations or when minimize stops on its own tolerances, and the next
+restart begins; the report holds the best evaluation of the solve.
 
 An evaluation depends on each of its m directions only through that
 direction's cut (measures.direction_cut: quantile offsets plus the
@@ -54,6 +58,7 @@ not. NOT_CONVERGED in a certified regime indicates solver failure, not
 a counterexample, and reports say so.
 """
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass, fields
@@ -350,7 +355,8 @@ def minimize(fun, x0, max_nfev, diff_step):
     when the gradient's max-norm, the cost reduction or the step falls
     below LSQ_TOL (relative to the cost and to |x|), or after max_nfev
     evaluations outside the Jacobian probes. Nothing is returned: the
-    caller keeps what it needs from its own fun, as _local_search does."""
+    caller keeps what it needs from its own fun, as solve_equipartition's
+    residuals does."""
     x = np.array(x0, dtype=float)
     f = fun(x)
     nfev = 1
@@ -401,42 +407,6 @@ def minimize(fun, x0, max_nfev, diff_step):
             g = J.T.dot(f)
         if done:
             break
-
-
-def _local_search(measure, l, m, x0, tol, maxfev, cuts):
-    """One least-squares restart from x0, at measure.diff_step.
-
-    Returns (candidate, evaluations). The candidate is the first accepted
-    evaluation, which stops the search at once, or else the restart's best
-    (DeviationTensor, degenerate) pair; None if every evaluation collapsed
-    a direction."""
-    d = measure.dim
-    collapsed = np.ones((l + 1) << (m - 1))
-    best = None
-    evals = 0
-
-    def residuals(x):
-        nonlocal best, evals
-        dirs = _normalize_blocks(x, m, d)
-        if dirs is None:
-            return collapsed
-        if evals == maxfev:
-            raise _StopRestart
-        evals += 1
-        dt = test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts)
-        cand = (dt, _is_collinear(dirs))
-        if _accepted(cand, tol):
-            best = cand
-            raise _StopRestart
-        if _better(cand, best):
-            best = cand
-        return dt.values.ravel()
-
-    try:
-        minimize(residuals, x0, maxfev, measure.diff_step)
-    except _StopRestart:
-        pass
-    return best, evals
 
 
 def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
@@ -490,29 +460,44 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         dirs = _normalize_blocks(x, m, d)
         return test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts).residual_l2
 
+    collapsed = np.ones((l + 1) << (m - 1))
+    best = None  # (DeviationTensor, degenerate), over every restart
+    evals = 0  # of the current restart
+
+    def residuals(x):
+        nonlocal best, evals
+        dirs = _normalize_blocks(x, m, d)
+        if dirs is None:
+            return collapsed
+        if evals == maxfev:
+            raise _StopRestart
+        evals += 1
+        dt = test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts)
+        cand = (dt, _is_collinear(dirs))
+        if _accepted(cand, tol):
+            best = cand
+            raise _StopRestart
+        if _better(cand, best):
+            best = cand
+        return dt.values.ravel()
+
     rng = np.random.default_rng(seed)
     starts = []
     if coarse_grid:
         starts.extend(_angle_grid_starts(m, coarse_grid, seed_score))
-    evaluations = coarse_grid ** m
 
-    best = None  # (DeviationTensor, degenerate)
     restart_evaluations = []
     for restart in range(max_restarts):
         if restart < len(starts):
             x0 = starts[restart]
         else:
             x0 = rng.standard_normal(m * d)
-        cand, evals = _local_search(measure, l, m, x0, tol, maxfev, cuts)
+        evals = 0
+        with contextlib.suppress(_StopRestart):
+            minimize(residuals, x0, maxfev, measure.diff_step)
         restart_evaluations.append(evals)
-        evaluations += evals
-        if cand is None:
-            continue
-        if _accepted(cand, tol):
-            best = cand
+        if best is not None and _accepted(best, tol):
             break
-        if _better(cand, best):
-            best = cand
 
     if best is None:
         raise RuntimeError("every restart collapsed to a degenerate direction")
@@ -531,7 +516,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         certified_regime=certified,
         degenerate=degenerate,
         note=note,
-        evaluations=evaluations,
+        evaluations=coarse_grid ** m + sum(restart_evaluations),
         restart_evaluations=restart_evaluations,
     )
 

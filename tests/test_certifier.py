@@ -276,6 +276,27 @@ def test_oversized_l_refused_up_front():
         certify(4, 16382, 5)
 
 
+@pytest.mark.parametrize("m, t_max", [(2, 15), (3, 14), (4, 13), (5, 12),
+                                      (6, 11)])
+def test_closed_form_rows_at_l_two_to_the_t_minus_one(m, t_max):
+    # min_dimension(m, 2^t - 1) = 2^(t-1) * (2^(m-1) - 1) + 1, for every t
+    # whose l the exponent guard accepts. Proof: at l = 2^t - 1 the
+    # criterion is Q^(2^(t-1)) / (x2...xm) with Q = P_m / x1. Over GF(2),
+    # P_m is the Moore determinant: each of its terms gives the m variables
+    # the exponents 1, 2, ..., 2^(m-1), one each, and distinct terms never
+    # cancel. Q lowers x1's exponent by one, the Frobenius power multiplies
+    # every exponent by 2^(t-1) and merges no terms, and the division
+    # lowers x2..xm by one. So every term's largest exponent is at least
+    # 2^(t-1) * (2^(m-1) - 1), and the term with x1 at 2^(m-1) attains it.
+    # min_dimension is one more than the least largest exponent of a term,
+    # so the formula holds whatever the search does.
+    for t in range(1, t_max + 1):
+        d = 2 ** (t - 1) * (2 ** (m - 1) - 1) + 1
+        assert min_dimension(m, 2 ** t - 1) == d
+    with pytest.raises(ValueError, match="the largest l is"):
+        min_dimension(m, 2 ** (t_max + 1) - 1)
+
+
 def test_known_minimal_dimensions():
     assert min_dimension(3, 2) == 4
     assert min_dimension(3, 14) == 16

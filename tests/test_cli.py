@@ -401,8 +401,10 @@ def test_verify_incomplete_config_is_error(tmp_path, capsys, config):
     ("parallel_offsets", "[]"),
     ("parallel_offsets", "0.5"),
     ("extra_offsets", "0.5"),
+    ("u", "{}"),
+    ("parallel_offsets", '{"a": 1}'),
 ], ids=["scalar-u", "nested-offsets", "no-offsets", "scalar-offsets",
-        "scalar-extra-offset"])
+        "scalar-extra-offset", "object-u", "object-offsets"])
 def test_verify_malformed_config_shape_is_error(tmp_path, capsys, key, value):
     measure = tmp_path / "m.csv"
     measure.write_text("x1,x2,w\n0,0,1\n1,1,1\n")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import equibox
-from equibox import certifier
+from equibox import certifier, solver
 from equibox.measures import (
     Configuration,
     GridDensity,
@@ -28,6 +28,7 @@ from equibox.solver import (
     _certified_regime,
     _check_cut_size,
     _cut_memo,
+    _is_collinear,
     _normalize_blocks,
     minimize,
     solve_equipartition,
@@ -310,6 +311,40 @@ def test_solve_deterministic_bytes():
     out = json.loads(rep1.to_json())
     assert len(out["restart_evaluations"]) == out["restarts_used"]
     assert 4 ** 2 + sum(out["restart_evaluations"]) == out["evaluations"]
+
+
+@pytest.mark.parametrize("make_measure,l,m,tol,maxfev", [
+    (lambda: gaussian_mixture_grid(2, 3, 48, seed=7), 2, 2, 1e-6, 30),
+    (lambda: gaussian_mixture_cloud(3, 3, 4000, seed=5), 2, 3, 2e-3, 40),
+], ids=["grid", "cloud"])
+def test_report_holds_the_best_of_every_evaluation(monkeypatch, make_measure,
+                                                   l, m, tol, maxfev):
+    # two NOT_CONVERGED solves of three restarts each: the reported config is
+    # the best evaluation of the whole solve under the documented order
+    # (non-collinear first, then the lowest residual_l2, the earliest on
+    # ties), whichever restart made it. No coarse grid, whose seed scoring
+    # would call test_map too. The grid's best comes from its second restart.
+    measure = make_measure()
+    seen = []
+
+    def recording_test_map(*args, **kwargs):
+        dt = eval_test_map(*args, **kwargs)
+        dirs = np.vstack([dt.config.u[None, :], dt.config.extra_dirs])
+        seen.append((dt, _is_collinear(dirs)))
+        return dt
+
+    monkeypatch.setattr(solver, "test_map", recording_test_map)
+    rep = solve_equipartition(measure, l, m, tol=tol, max_restarts=3,
+                              seed=0, maxfev=maxfev)
+    assert rep.status == NOT_CONVERGED and rep.restarts_used == 3
+    assert rep.evaluations == sum(rep.restart_evaluations) == len(seen)
+    plain = [i for i, (_, collinear) in enumerate(seen) if not collinear]
+    first_best = min(plain, key=lambda i: seen[i][0].residual_l2, default=0)
+    best, degenerate = seen[first_best]
+    assert rep.degenerate == degenerate
+    assert rep.config.to_dict() == best.config.to_dict()
+    assert rep.residual_l2 == best.residual_l2
+    assert rep.residual_max == best.residual_max
 
 
 def test_solve_uncertified_regime_marked():
