@@ -40,7 +40,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # accepts. They bound the truncated products its search builds, which
 # grow with the criterion degree (2^m - 2) * l / 2: at the caps the
 # largest product before capping has 2.3e5 terms (m=6; the full m=6, l=6
-# criterion has 7.2e6) and the whole m=6 table takes about 1.2-1.4 s on a
+# criterion has 7.2e6) and the whole m=6 table takes about 0.7-1.2 s on a
 # 2-core x86-64 host (Intel Xeon, Python 3.11.7), most of it in its last
 # row's certifying d.
 _TABLE_LMAX_CAP = {2: 128, 3: 64, 4: 32, 5: 12, 6: 6}

@@ -1,7 +1,7 @@
 """Command-line entry point wiring all subcommands.
 
 Exit codes: 0 = CERTIFIED / ok, 2 = INCONCLUSIVE (or NOT_CONVERGED /
-FAIL / decomposition without obstruction), 1 = usage or input error.
+FAIL / MISMATCH), 1 = usage or input error.
 All machine-readable output carries "schema": "equibox/1".
 """
 
@@ -17,6 +17,11 @@ from equibox import certifier, dickson, repdecomp
 from equibox.gf2poly import PolyGF2
 
 SCHEMA = "equibox/1"
+
+# criterion 2: min_dimension(2, l) = ceil(l/2) + 1, so l = 2k and 2k-1 share
+# their d, and every m = 2 table carries this note
+_M2_FOOTNOTE = ("even counts 2k reach the same minimal dimension as 2k-1, "
+                "so the even case gives more boxes in the same space")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,14 +95,15 @@ def _build_parser():
     return p
 
 
+def _print_json(**fields):
+    print(json.dumps(dict(fields, schema=SCHEMA), sort_keys=True))
+
+
 def _cmd_dickson(args):
     poly = dickson.dickson_moore(args.m)
     if args.json:
-        print(json.dumps({
-            "schema": SCHEMA, "m": args.m,
-            "polynomial": poly.to_text(), "terms": len(poly),
-            "degree": poly.total_degree(),
-        }, sort_keys=True))
+        _print_json(m=args.m, polynomial=poly.to_text(), terms=len(poly),
+                    degree=poly.total_degree())
     else:
         print(poly.to_text())
     return 0
@@ -107,11 +113,8 @@ def _cmd_certify(args):
     cert = certifier.certify(args.m, args.l, args.d)
     witness = PolyGF2.term_text(cert.witness) if cert.witness else None
     if args.json:
-        print(json.dumps({
-            "schema": SCHEMA, "m": args.m, "l": args.l, "d": args.d,
-            "verdict": cert.verdict, "witness": witness,
-            "boxes": cert.problem.boxes, "note": cert.note,
-        }, sort_keys=True))
+        _print_json(m=args.m, l=args.l, d=args.d, verdict=cert.verdict,
+                    witness=witness, boxes=cert.problem.boxes, note=cert.note)
     else:
         print("%s  (m=%d, l=%d, d=%d: %d boxes)"
               % (cert.verdict, args.m, args.l, args.d, cert.problem.boxes))
@@ -125,32 +128,18 @@ def _cmd_certify(args):
 def _cmd_min_d(args):
     d = certifier.min_dimension(args.m, args.l)
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "m": args.m, "l": args.l, "d": d},
-                         sort_keys=True))
+        _print_json(m=args.m, l=args.l, d=d)
     else:
         print(d)
     return 0
 
 
-def _m2_footnote(rows):
-    paired = all(d_even == d_odd
-                 for (l_odd, d_odd), (l_even, d_even)
-                 in zip(rows[1::2], rows[2::2]))
-    if paired:
-        return ("even counts 2k reach the same minimal dimension as 2k-1, "
-                "so the even case gives more boxes in the same space")
-    return ""
-
-
 def _cmd_table(args):
     rows = certifier.equipartition_table(args.m, args.l_max)
-    footnote = _m2_footnote(rows) if args.m == 2 else ""
+    footnote = _M2_FOOTNOTE if args.m == 2 else ""
     if args.format == "json":
-        print(json.dumps({
-            "schema": SCHEMA, "m": args.m,
-            "rows": [{"l": l, "d": d} for l, d in rows],
-            "footnote": footnote,
-        }, sort_keys=True))
+        _print_json(m=args.m, rows=[{"l": l, "d": d} for l, d in rows],
+                    footnote=footnote)
     elif args.format == "csv":
         print("l,d")
         for l, d in rows:
@@ -171,26 +160,13 @@ def _cmd_decompose(args):
     table = repdecomp.character_multiplicities(spec)
     named = {repdecomp.character_name(chi): k
              for chi, k in sorted(table.multiplicities.items())}
-    try:
-        poly = repdecomp.index_polynomial(spec, table)
-    except repdecomp.TrivialCharacterError as exc:
-        if args.json:
-            print(json.dumps({
-                "schema": SCHEMA, "m": args.m, "l": args.l,
-                "multiplicities": named, "total_dim": table.total_dim,
-                "index_polynomial": None, "failure": str(exc),
-            }, sort_keys=True))
-        else:
-            print("FAILURE: %s" % exc)
-        return 2
+    poly = repdecomp.index_polynomial(spec, table)
     reference = certifier.criterion_polynomial(args.m, args.l)
     verdict = "MATCH" if poly == reference else "MISMATCH"
     if args.json:
-        print(json.dumps({
-            "schema": SCHEMA, "m": args.m, "l": args.l,
-            "multiplicities": named, "total_dim": table.total_dim,
-            "index_polynomial": poly.to_text(), "against_criterion": verdict,
-        }, sort_keys=True))
+        _print_json(m=args.m, l=args.l, multiplicities=named,
+                    total_dim=table.total_dim, index_polynomial=poly.to_text(),
+                    against_criterion=verdict)
     else:
         print("character multiplicities (dim %d):" % table.total_dim)
         for name, k in named.items():
@@ -221,11 +197,20 @@ def _cmd_solve(args):
 
     measure = measures.load_measure(args.input)
     # opened before the solve, so that an unwritable --out costs no solve,
-    # and for appending, so that a refused solve leaves an old file intact
+    # and for appending, so that a refused solve leaves an old file intact;
+    # a file that this call created is removed when the solve is refused
+    created = args.out is not None and not os.path.exists(args.out)
     with open(args.out, "a") if args.out else contextlib.nullcontext() as fh:
-        report = solver.solve_equipartition(
-            measure, args.l, args.m, tol=args.tol, max_restarts=args.restarts,
-            seed=args.seed, coarse_grid=args.coarse_grid, maxfev=args.maxfev)
+        try:
+            report = solver.solve_equipartition(
+                measure, args.l, args.m, tol=args.tol,
+                max_restarts=args.restarts, seed=args.seed,
+                coarse_grid=args.coarse_grid, maxfev=args.maxfev)
+        except BaseException:
+            if created:
+                fh.close()
+                os.remove(args.out)
+            raise
         text = report.to_json()
         print(text)
         if fh:

@@ -42,18 +42,6 @@ from equibox.gf2poly import PolyGF2
 MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
-class TrivialCharacterError(Exception):
-    """The trivial character occurs: an equivariant map exists and the
-    index method certifies nothing for this action."""
-
-    def __init__(self, multiplicity):
-        self.multiplicity = multiplicity
-        super().__init__(
-            "trivial character has multiplicity %d; no index obstruction"
-            % multiplicity
-        )
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """Box permutation action plus the invariant constraint functionals.
@@ -305,20 +293,23 @@ def index_polynomial(spec, table=None):
     exponents over GF(2)) and multiplied by the product of the forms whose
     multiplicity has that bit set (dickson.forms_product).
 
-    Raises TrivialCharacterError when the trivial character occurs (the
-    action has nonzero fixed vectors, so no obstruction exists).
+    Raises ValueError when the trivial character occurs: the action then
+    has nonzero fixed vectors, so an equivariant map exists and no
+    obstruction does. The box action never meets this case, because a
+    vector fixed by every side flip is constant on each slab's
+    2^(m-1) boxes, and the slab's equal-mass constraint makes it zero.
     """
     if table is None:
         table = character_multiplicities(spec)
-    m = spec.m
-    trivial = (0,) * m
-    if table.multiplicities.get(trivial, 0):
-        raise TrivialCharacterError(table.multiplicities[trivial])
-    forms = [(sum(bit << i for i, bit in enumerate(chi)), k)
-             for chi, k in table.multiplicities.items() if chi != trivial]
-    poly = PolyGF2.one(m)
-    top = max((k for _, k in forms), default=0).bit_length()
+    forms = {sum(bit << i for i, bit in enumerate(chi)): k
+             for chi, k in table.multiplicities.items()}
+    if forms.get(0):  # mask 0 is the trivial character
+        raise ValueError(
+            "trivial character has multiplicity %d; no index obstruction"
+            % forms[0])
+    poly = PolyGF2.one(spec.m)
+    top = max(forms.values(), default=0).bit_length()
     for level in reversed(range(top)):
         poly = poly._squared() * forms_product(
-            m, [mask for mask, k in forms if k >> level & 1])
+            spec.m, [mask for mask, k in forms.items() if k >> level & 1])
     return poly

@@ -95,6 +95,18 @@ def test_table_csv_and_json(capsys):
     assert obj["footnote"]
 
 
+@pytest.mark.parametrize("m,l_max_values", [
+    (2, range(2, 129)), (3, (2, 3)), (4, (2, 3)), (5, (2, 3)), (6, (2, 3)),
+])
+def test_table_footnote_only_for_m2(capsys, m, l_max_values):
+    for l_max in l_max_values:
+        code, out, _ = run(capsys, "table", "--m", str(m), "--l-max",
+                           str(l_max), "--format", "json")
+        assert code == 0
+        footnote = json.loads(out)["footnote"]
+        assert footnote.startswith("even counts 2k") if m == 2 else footnote == ""
+
+
 def test_table_guard_is_error(capsys):
     code, _, err = run(capsys, "table", "--m", "3", "--l-max", "100")
     assert code == 1 and "l_max" in err
@@ -109,6 +121,16 @@ def test_decompose_match(capsys):
     assert code == 0
     assert obj["against_criterion"] == "MATCH"
     assert obj["total_dim"] == 3
+
+
+@pytest.mark.parametrize("m,l", [(2, 1), (3, 2), (6, 1)])
+def test_decompose_json_keys(capsys, m, l):
+    code, out, _ = run(capsys, "decompose", "--m", str(m), "--l", str(l),
+                       "--json")
+    assert code == 0
+    assert sorted(json.loads(out)) == [
+        "against_criterion", "index_polynomial", "l", "m", "multiplicities",
+        "schema", "total_dim"]
 
 
 def test_gen_solve_verify_roundtrip(tmp_path, capsys):
@@ -204,6 +226,11 @@ def _small_grid(tmp_path):
     return measure
 
 
+# a tol above the box target 1/4 is refused by the solve itself; this input
+# passes --out a path that holds no file yet, the others an existing file
+_FRESH_OUT = ("solve", "--tol", "0.5")
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("solve", "--tol", "-1"),
     ("solve", "--tol", "nan"),
@@ -212,14 +239,18 @@ def _small_grid(tmp_path):
     ("solve", "--coarse-grid", "-2"),
     ("solve", "--seed", "-1"),
     ("verify", "--tol", "nan"),
+    _FRESH_OUT,
 ])
 def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
                                             value):
     argv = [command, "--input", str(_small_grid(tmp_path)), flag, value]
     old_report = tmp_path / "r.json"
     old_report.write_text("kept")
+    new_report = tmp_path / "new.json"
     if command == "solve":
-        argv += ["--l", "1", "--m", "2", "--restarts", "2", "--out", str(old_report)]
+        fresh = (command, flag, value) == _FRESH_OUT
+        out_path = new_report if fresh else old_report
+        argv += ["--l", "1", "--m", "2", "--restarts", "2", "--out", str(out_path)]
         argv += ["--tol", "0.1"] if flag != "--tol" else []
     else:
         config = tmp_path / "config.json"
@@ -231,6 +262,7 @@ def test_unusable_numerical_option_is_error(tmp_path, capsys, command, flag,
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
     assert old_report.read_text() == "kept"
+    assert not new_report.exists()
 
 
 @pytest.mark.parametrize("argv", [

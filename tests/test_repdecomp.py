@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from equibox.certifier import criterion_polynomial
+from equibox.certifier import _TABLE_LMAX_CAP, criterion_polynomial
 from equibox.repdecomp import (
     MAX_CONSTRAINT_ENTRIES,
     ActionSpec,
     CharacterTable,
-    TrivialCharacterError,
     _group_perms,
     build_test_representation,
     character_multiplicities,
@@ -236,12 +235,27 @@ def test_oracle_equivalence_m6(l):
 
 
 def test_unconstrained_action_has_fixed_vectors():
-    # dropping the constraints leaves the all-ones fixed vector: FAILURE
+    # dropping the constraints leaves the all-ones fixed vector
     spec = build_test_representation(2, 2)
     free = ActionSpec(spec.m, spec.l, spec.generator_perms, ())
-    with pytest.raises(TrivialCharacterError) as exc:
+    with pytest.raises(ValueError, match="trivial character has multiplicity"):
         index_polynomial(free)
-    assert exc.value.multiplicity >= 1
+
+
+@pytest.mark.parametrize("m", sorted(_TABLE_LMAX_CAP))
+def test_box_action_has_no_trivial_character(m):
+    # a vector fixed by every side flip is constant on each slab's boxes,
+    # and the slab's equal-mass constraint makes it zero; checked for every
+    # l a table can emit
+    for l in range(1, _TABLE_LMAX_CAP[m] + 1):
+        table = character_multiplicities(build_test_representation(m, l))
+        assert table.multiplicities[(0,) * m] == 0, l
+
+
+@pytest.mark.parametrize("m,l", [(2, 722), (6, 177)])
+def test_no_trivial_character_at_the_constraint_entry_guard(m, l):
+    table = character_multiplicities(build_test_representation(m, l))
+    assert table.multiplicities[(0,) * m] == 0
 
 
 def test_resource_guards():
