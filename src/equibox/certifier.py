@@ -122,15 +122,22 @@ def certify(m, l, d):
 
     CERTIFIED comes with a witness term, the graded-lex least term of the
     criterion with all exponents <= d-1; the criterion is outside
-    (x1^d, ..., xm^d) iff such a term exists. Only those terms are built
-    (_Truncation). INCONCLUSIVE asserts nothing. The note is set when the
-    degree alone leaves no such term: the criterion is homogeneous, and a
-    term with every exponent <= d-1 has degree at most m(d-1).
+    (x1^d, ..., xm^d) iff such a term exists. The criterion is
+    homogeneous, so that is its lex-least term with all exponents <= d-1.
+    When the criterion's lex-least term (_Truncation.least_term) has every
+    exponent <= d-1, it is the witness and nothing is built; otherwise
+    only the terms with all exponents <= d-1 are (_Truncation).
+    INCONCLUSIVE asserts nothing. The note is set when the degree alone
+    leaves no such term: a term with every exponent <= d-1 has degree at
+    most m(d-1).
     """
     problem = PartitionProblem(m, l, d)
     _check_l(m, l)
-    terms = _Truncation(m).criterion(l, d)
-    witness = min(terms.term_tuples(), key=_grlex_key) if terms else None
+    trunc = _Truncation(m)
+    witness = trunc.least_term(l)
+    if max(witness) > d - 1:
+        terms = trunc.criterion(l, d)
+        witness = min(terms.term_tuples(), key=_grlex_key) if terms else None
     note = ""
     degree = _criterion_degree(m, l)
     if m * (d - 1) < degree:
@@ -175,6 +182,21 @@ class _Truncation:
                     p = (p * self.power(1, caps))._capped(caps)
             self.powers[key] = p
         return p
+
+    def least_term(self, l):
+        """The lex-least term of criterion_polynomial(m, l), without a
+        product. Lex order is a monomial order, so a product's lex-least
+        term is the sum of its factors' lex-least terms, and no other pair
+        of terms reaches it to cancel it; dividing by a monomial subtracts
+        the monomial. With q the lex-least term of P_m / x1, that gives
+        (k+1) q - (0, 1, ..., 1) for odd l = 2k+1 and e + k q for even
+        l = 2k, e the lex-least term of the even factor."""
+        k = l // 2
+        q = min(_quotient_power(self.m).term_tuples())
+        if l % 2:
+            return tuple((k + 1) * a - b for a, b in zip(q, _rest(self.m)))
+        e = min(self.even.term_tuples())
+        return tuple(a + k * b for a, b in zip(e, q))
 
     def criterion(self, l, d):
         """The terms of criterion_polynomial(m, l) with every exponent <= d-1.

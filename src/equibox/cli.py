@@ -212,10 +212,11 @@ def _cmd_solve(args):
                 os.remove(args.out)
             raise
         text = report.to_json()
-        print(text)
+        # the file first: a closed stdout raises in print
         if fh:
             fh.truncate(0)
             fh.write(text)
+        print(text)
     return 0 if report.status == solver.CONVERGED else 2
 
 

@@ -2,19 +2,25 @@
 
 The search space is directions only: offsets are always eliminated
 analytically (quantiles along the parallel direction, medians for the
-extra hyperplanes), so a candidate is a point of (S^(d-1))^m, held as m
-raw d-vectors that are re-projected to unit length at every evaluation.
+extra hyperplanes), so a candidate is a point of (S^(d-1))^m. It is held
+in a sphere chart, d-1 hyperspherical angles per direction (_directions;
+_angles is the inverse), because the deviations ignore a direction's
+length: m d-vectors would give the Jacobian m null directions and cost m
+probes more per Jacobian. At d=2 a direction's chart is its angle.
 
 Each restart is an unconstrained trust-region least-squares solve
 (minimize: the Levenberg-Marquardt step of More 1977 from one SVD of the
 Jacobian, as in the unbounded branch of Branch, Coleman & Li's "trf")
 on the deviation vector, the flattened (l+1) x 2^(m-1) tensor of box
-masses minus the uniform target. Its Jacobian is a 2-point finite
-difference at the relative step of the measure's kind (diff_step). A
-point cloud's map is piecewise constant: it jumps by one point weight
-wherever a point crosses a hyperplane, so a probe must move the
-hyperplanes across many points to see the slope rather than the jumps,
-and PointCloud takes 1e-1. A grid's map is continuous, so a small step
+masses minus the uniform target. Its first Jacobian is a 2-point finite
+difference at the relative step of the measure's kind (diff_step).
+After a step that earns at least a quarter of its predicted reduction,
+Broyden's rank-one secant update takes the place of the m(d-1) probes,
+and only a poorer accepted step rebuilds the differences. A point
+cloud's map is piecewise constant: it jumps by one point weight wherever
+a point crosses a hyperplane, so a probe must move the hyperplanes
+across many points to see the slope rather than the jumps, and
+PointCloud takes 1e-1. A grid's map is continuous, so a small step
 already sees its slope, and GridDensity keeps 1e-2.
 
 One solve has one residual function, shared by every restart, and one
@@ -32,26 +38,27 @@ measure's membership against them), and the measure's own combine step
 builds the tensor from the m cuts, whatever its kind. One solve keeps
 the cuts it made in an LRU memo of m + d + coarse_grid entries, keyed by
 the direction's bytes and its offset count, and an evaluation computes
-only the cuts it misses. A Jacobian probe moves one coordinate, so it changes one
-direction; the d probes of one block must leave the base point's other
-m-1 cuts cached, which takes m + d entries. The coarse grid cycles its
-last angle through coarse_grid values, which takes coarse_grid + 1. A
-Jacobian sweep of the parallel direction can fill the memo with parallel
-cuts, so a grid solve is refused when m + d + coarse_grid of them, l+1
-slab fractions per cell each (GridDensity.membership), would pass
-GENERATED_VALUES_MAX values. The memo goes with the solve, and
-verify_configuration recomputes everything from scratch, one cut at a
-time.
+only the cuts it misses. A Jacobian probe moves one angle, so it
+changes one direction; the d-1 probes of one block must leave the base
+point's other m-1 cuts cached, which takes m + d - 1 of the entries. The
+coarse grid cycles its last angle through coarse_grid values, which
+takes coarse_grid + 1. A Jacobian sweep of the parallel direction can
+fill the memo with parallel cuts, so a grid solve is refused when
+m + d + coarse_grid of them, l+1 slab fractions per cell each
+(GridDensity.membership), would pass GENERATED_VALUES_MAX values. The
+memo goes with the solve, and verify_configuration recomputes everything
+from scratch, one cut at a time.
 
 Whether the problem is in the certified regime is decided by
 d >= certifier.min_dimension(m, l), which works in the truncated ring
 and never expands the criterion.
 
-Restarts begin at deterministic seeded random points, or for d=2 first
-at the three best combinations of an optional exhaustive coarse angle
-grid. The coarse grid evaluates all n^m angle combinations, so it is
-refused for d != 2 and for n^m above COARSE_GRID_MAX_COMBOS (4096:
-n <= 64 at m=2, 16 at m=3, 8 at m=4, 5 at m=5 and 4 at m=6).
+Restarts begin at the chart points of deterministic seeded random
+vectors, or for d=2 first at the three best combinations of an optional
+exhaustive coarse angle grid. The coarse grid evaluates all n^m angle
+combinations, so it is refused for d != 2 and for n^m above
+COARSE_GRID_MAX_COMBOS (4096: n <= 64 at m=2, 16 at m=3, 8 at m=4, 5 at
+m=5 and 4 at m=6).
 
 Existence in the certified regime is guaranteed; finding the zero is
 not. NOT_CONVERGED in a certified regime indicates solver failure, not
@@ -158,12 +165,29 @@ class SolveReport(_Report):
         return {"config": None if self.config is None else self.config.to_dict()}
 
 
-def _normalize_blocks(x, m, d):
-    blocks = x.reshape(m, d)
-    norms = np.linalg.norm(blocks, axis=1)
-    if np.any(norms < 1e-12):
-        return None
-    return blocks / norms[:, None]
+def _directions(x, m, d):
+    """The m unit directions at the chart point x, whose block i holds the
+    d-1 hyperspherical angles a of direction i:
+    v_j = sin a_1 ... sin a_(j-1) cos a_j for j < d and
+    v_d = sin a_1 ... sin a_(d-1)."""
+    a = x.reshape(m, d - 1)
+    sines = np.cumprod(np.sin(a), axis=1)
+    dirs = np.empty((m, d))
+    dirs[:, 0] = np.cos(a[:, 0])
+    dirs[:, 1:-1] = sines[:, :-1] * np.cos(a[:, 1:])
+    dirs[:, -1] = sines[:, -1]
+    return dirs
+
+
+def _angles(w):
+    """Chart angles of the nonzero rows of w, flattened: the inverse of
+    _directions on unit rows, and the angles of w's row directions
+    otherwise. a_j = arctan2(|(w_(j+1), ..., w_d)|, w_j) for j < d-1 and
+    a_(d-1) = arctan2(w_d, w_(d-1))."""
+    tails = np.sqrt(np.cumsum(w[:, :0:-1] ** 2, axis=1))[:, ::-1]
+    a = np.arctan2(tails, w[:, :-1])
+    a[:, -1] = np.arctan2(w[:, -1], w[:, -2])
+    return a.ravel()
 
 
 def _is_collinear(dirs):
@@ -179,13 +203,11 @@ def _angle_grid_starts(m, n, evaluate):
     """Exhaustive coarse seeding over angle combinations (d=2 only).
 
     Directions are identified with their negatives by the tensor's
-    equivariance, so angles sweep [0, pi)."""
+    equivariance, so angles sweep [0, pi). At d=2 a chart point is its m
+    angles, so each combination is a start as it stands."""
     angles = np.pi * np.arange(n) / n
     combos = np.stack(np.meshgrid(*([angles] * m), indexing="ij"), -1).reshape(-1, m)
-    scored = []
-    for idx, thetas in enumerate(combos):
-        x = np.concatenate([[np.cos(t), np.sin(t)] for t in thetas])
-        scored.append((evaluate(x), idx, x))
+    scored = [(evaluate(x), idx, x) for idx, x in enumerate(combos)]
     scored.sort(key=lambda s: (s[0], s[1]))
     return [x for _, _, x in scored[:3]]
 
@@ -345,13 +367,17 @@ def minimize(fun, x0, max_nfev, diff_step):
     """Unconstrained trust-region least squares on the residual vector fun(x).
 
     The unbounded branch of the "trf" method (Branch, Coleman & Li 1999)
-    with x_scale 1, linear loss and the exact SVD trust-region solver:
-    scipy's least_squares(method="trf", jac="2-point",
-    diff_step=diff_step). The initial radius is |x0| (1 at the origin), a
-    step is _lm_step on the 2-point Jacobian at the relative step
-    diff_step (_jacobian), and the radius shrinks to a quarter of the step
-    below a reduction ratio of 0.25 (or at non-finite residuals) and
-    doubles above 0.75 when the step reached the boundary. The search stops
+    with x_scale 1, linear loss and the exact SVD trust-region solver, as
+    scipy's least_squares(method="trf") runs it. The initial radius is
+    |x0| (1 at the origin), a step is _lm_step on the current Jacobian J,
+    and the radius shrinks to a quarter of the step below a reduction
+    ratio of 0.25 (or at non-finite residuals) and doubles above 0.75 when
+    the step reached the boundary. J starts as the 2-point Jacobian at the
+    relative step diff_step (_jacobian). After an accepted step s (as
+    rounded into x) with ratio >= 0.25, it takes Broyden's rank-one
+    update J + (f_new - f - J s) s^T / (s^T s) (Broyden 1965, as in
+    MINPACK's hybrd), in place, so it stays Fortran-ordered; after one
+    with a lower ratio, _jacobian rebuilds it. The search stops
     when the gradient's max-norm, the cost reduction or the step falls
     below LSQ_TOL (relative to the cost and to |x|), or after max_nfev
     evaluations outside the Jacobian probes. Nothing is returned: the
@@ -402,8 +428,12 @@ def minimize(fun, x0, max_nfev, diff_step):
             alpha *= Delta / Delta_new
             Delta = Delta_new
         if reduction > 0:
+            if ratio >= 0.25:  # Broyden's rank-one secant update, in place
+                s = x_new - x
+                J += np.outer(f_new - f - J.dot(s), s) / s.dot(s)
+            else:
+                J = _jacobian(fun, x_new, f_new, diff_step)
             x, f, cost = x_new, f_new, cost_new
-            J = _jacobian(fun, x, f, diff_step)
             g = J.T.dot(f)
         if done:
             break
@@ -457,21 +487,18 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     cuts = _cut_memo(measure, capacity)
 
     def seed_score(x):
-        dirs = _normalize_blocks(x, m, d)
+        dirs = _directions(x, m, d)
         return test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts).residual_l2
 
-    collapsed = np.ones((l + 1) << (m - 1))
     best = None  # (DeviationTensor, degenerate), over every restart
     evals = 0  # of the current restart
 
     def residuals(x):
         nonlocal best, evals
-        dirs = _normalize_blocks(x, m, d)
-        if dirs is None:
-            return collapsed
         if evals == maxfev:
             raise _StopRestart
         evals += 1
+        dirs = _directions(x, m, d)
         dt = test_map(measure, dirs[0], dirs[1:], l, _cuts=cuts)
         cand = (dt, _is_collinear(dirs))
         if _accepted(cand, tol):
@@ -491,16 +518,14 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         if restart < len(starts):
             x0 = starts[restart]
         else:
-            x0 = rng.standard_normal(m * d)
+            x0 = _angles(rng.standard_normal(m * d).reshape(m, d))
         evals = 0
         with contextlib.suppress(_StopRestart):
             minimize(residuals, x0, maxfev, measure.diff_step)
         restart_evaluations.append(evals)
-        if best is not None and _accepted(best, tol):
+        if _accepted(best, tol):
             break
 
-    if best is None:
-        raise RuntimeError("every restart collapsed to a degenerate direction")
     dt, degenerate = best
     converged = _accepted(best, tol)
     note = "" if certified else UNCERTIFIED_NOTE

@@ -217,6 +217,31 @@ def test_m6_certify_past_the_expansion_wall(l, d, witness):
     assert cert.verdict == (CERTIFIED if witness else INCONCLUSIVE)
 
 
+@pytest.mark.parametrize("m, l", [(2, l) for l in range(1, 17)]
+                         + [(3, l) for l in range(1, 13)]
+                         + [(4, l) for l in range(1, 11)]
+                         + [(5, l) for l in range(1, 7)])
+def test_certify_takes_the_lex_least_term_without_a_build(monkeypatch, m, l):
+    # once every exponent of the criterion's lex-least term is <= d-1, that
+    # term is the witness, and certify builds nothing
+    least = _Truncation(m).least_term(l)
+    assert least == min(criterion_polynomial(m, l).term_tuples())
+    monkeypatch.setattr(_Truncation, "criterion", None)
+    for d in (max(least) + 1, max(least) + 3, _criterion_degree(m, l) + 5):
+        cert = certify(m, l, d)
+        assert (cert.verdict, cert.witness) == (CERTIFIED, least)
+
+
+def test_m6_certify_far_past_the_degree(monkeypatch):
+    # the whole (6, 6) criterion has 7.2M terms and certify at d = 1000 used
+    # to build all of them; its lex-least term needs only d >= 112
+    monkeypatch.setattr(_Truncation, "criterion", None)
+    for d in (112, 1000):
+        cert = certify(6, 6, d)
+        assert cert.verdict == CERTIFIED
+        assert cert.witness == (0, 6, 13, 27, 55, 111)
+
+
 def test_m3_dimension_note():
     assert certify(3, 6, 4).note != ""
     assert certify(3, 2, 4).note == ""

@@ -497,3 +497,27 @@ def test_closed_stdout_is_not_an_error():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+def test_solve_writes_out_when_stdout_is_closed(tmp_path, capsys):
+    # unbuffered, a print to a pipe without a reader raises at once; --out
+    # must still hold the whole report, as a normal run writes it
+    grid = str(tmp_path / "g.json")
+    run(capsys, "gen-measure", "--d", "2", "--grid-cells", "24", "--seed",
+        "3", "--out", grid)
+    argv = ["solve", "--input", grid, "--l", "1", "--m", "2", "--tol", "1e-3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    root = os.path.dirname(os.path.dirname(equibox.__file__))
+    env = dict(os.environ, PYTHONPATH=root, PYTHONUNBUFFERED="1")
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "equibox.cli", *argv, "--out", str(report)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert report.read_text() + "\n" == out
