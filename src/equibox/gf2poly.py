@@ -30,10 +30,9 @@ def active_backend():
 
 def carry_mask(nvars):
     """Bit mask of all field boundaries for an nvars-variable term."""
-    mask = 0
-    for j in range(1, nvars + 1):
-        mask |= 1 << (EXP_BITS * j)
-    return mask
+    # bit EXP_BITS * j for j = 1..nvars: the field-wise repunit
+    # (2^(EXP_BITS*nvars) - 1) / EXP_MAX, shifted by one field
+    return ((1 << EXP_BITS * nvars) - 1) // EXP_MAX << EXP_BITS
 
 
 def _exponent_fields(keys, nvars):
@@ -60,6 +59,35 @@ class NonDivisibleError(ValueError):
     def __init__(self, term):
         self.term = term
         super().__init__("term %s is not divisible by the monomial" % (term,))
+
+
+def _toggle_sums(out, a, b):
+    """Toggle every key sum ka + kb (ka in a, kb in b) in the set out: the
+    GF(2) product of the terms a and b, added to out. The caller keeps each
+    sum's fields <= EXP_MAX."""
+    if len(a) > len(b):
+        a, b = b, a
+    # one row's sums are distinct, so toggling their membership keeps
+    # exactly the products of odd multiplicity
+    for ka in a:
+        out.symmetric_difference_update(map(ka.__add__, b))
+
+
+def _cap_test(caps, nvars):
+    """The key o and the mask with which a key k has every exponent i
+    <= caps[i] iff not (k ^ o ^ (k + o)) & mask: adding EXP_MAX - caps[i]
+    to field i carries out of the field exactly when the exponent passes
+    its cap. A cap outside [0, EXP_MAX] raises ExponentOverflowError."""
+    return (pack_exponents(tuple(EXP_MAX - c for c in caps), nvars),
+            carry_mask(nvars))
+
+
+def _groups(keys, mask):
+    """The keys as lists keyed by their bits under mask."""
+    groups = {}
+    for k in keys:
+        groups.setdefault(k & mask, []).append(k)
+    return groups
 
 
 def pack_exponents(exponents, nvars):
@@ -138,14 +166,6 @@ class PolyGF2:
         """All monomials as a frozenset of exponent tuples."""
         return frozenset(unpack_key(k, self.nvars) for k in self._keys)
 
-    def max_exponents(self):
-        """The largest exponent of each term, one int per term, unordered."""
-        n = self.nvars
-        fields = _exponent_fields(self._keys, n)
-        if n == 1:
-            return fields.tolist()
-        return list(map(max, *(fields[i::n] for i in range(n))))
-
     def sorted_terms(self):
         """Monomials in canonical order (graded-lex, highest first)."""
         return sorted(
@@ -198,24 +218,62 @@ class PolyGF2:
         if not isinstance(other, PolyGF2):
             return NotImplemented
         self._check_same_ring(other)
+        self._check_sums_fit(other)
+        out = set()
+        _toggle_sums(out, self._keys, other._keys)
+        return PolyGF2._from_keys(self.nvars, out)
+
+    def _check_sums_fit(self, other):
+        """Raise ExponentOverflowError unless every exponent of every term
+        product of self and other, in one ring, is <= EXP_MAX."""
         n = self.nvars
         a, b = self._keys, other._keys
         if not (a and b):
-            return PolyGF2.zero(n)
+            return
         # the pair of terms holding a variable's largest exponents has the
         # largest sum for it, so one test per variable covers all pairs
         fa, fb = _exponent_fields(a, n), _exponent_fields(b, n)
         if any(max(fa[i::n]) + max(fb[i::n]) > EXP_MAX for i in range(n)):
             raise ExponentOverflowError(
                 "exponent sum exceeds %d in term product" % EXP_MAX)
-        if len(a) > len(b):
-            a, b = b, a
-        # one row's sums are distinct, so toggling their membership keeps
-        # exactly the products of odd multiplicity
-        out = set()
-        for ka in a:
-            out.symmetric_difference_update(map(ka.__add__, b))
-        return PolyGF2._from_keys(n, out)
+
+    def _slices(self, other, caps):
+        """The terms of self * other whose exponent of each variable i is
+        <= caps[i], one slice at a time: a slice is the polynomial of the
+        terms that share their x1 and x2 exponents, and the slices come in
+        ascending lex order of that pair, empty ones skipped. Needs at
+        least two variables.
+
+        Both operands are grouped by the x1 and x2 fields of their keys
+        (the low 2 * EXP_BITS bits); a slice is the GF(2) sum of the
+        products of the group pairs that land on it. Two slices share no
+        term, so no cancellation crosses them, and joined they are
+        (self * other)._capped(caps). A group pair whose x1 or x2 sum
+        passes its cap is skipped, as each of its products would be; every
+        other pair's x1 and x2 sums stay <= EXP_MAX, so no sum carries
+        from the x1 field into the x2 field, or from x2 into x3.
+        """
+        self._check_same_ring(other)
+        low = (1 << 2 * EXP_BITS) - 1
+        ga, gb = _groups(self._keys, low), _groups(other._keys, low)
+        pairs = {}
+        for ja, a in ga.items():
+            a1, a2 = ja & EXP_MAX, ja >> EXP_BITS
+            for jb, b in gb.items():
+                x1, x2 = a1 + (jb & EXP_MAX), a2 + (jb >> EXP_BITS)
+                if x1 <= caps[0] and x2 <= caps[1]:
+                    pairs.setdefault((x1, x2), []).append((a, b))
+        if not pairs:
+            return
+        self._check_sums_fit(other)
+        o, mask = _cap_test(caps, self.nvars)
+        for x12 in sorted(pairs):
+            out = set()
+            for a, b in pairs[x12]:
+                _toggle_sums(out, a, b)
+            kept = [k for k in out if not (k ^ o ^ (k + o)) & mask]
+            if kept:
+                yield PolyGF2._from_keys(self.nvars, kept)
 
     def _squared(self):
         # char 2: (sum m_i)^2 = sum m_i^2, so squaring doubles exponents
@@ -229,15 +287,9 @@ class PolyGF2:
         return PolyGF2._from_keys(self.nvars, keys)
 
     def _capped(self, caps):
-        """The terms whose exponent of each variable i is <= caps[i].
-
-        Adding EXP_MAX - caps[i] to field i carries out of the field
-        exactly when the exponent passes its cap, so one carry test per
-        key decides the term. A cap outside [0, EXP_MAX] raises
-        ExponentOverflowError.
-        """
-        o = pack_exponents(tuple(EXP_MAX - c for c in caps), self.nvars)
-        mask = carry_mask(self.nvars)
+        """The terms whose exponent of each variable i is <= caps[i]: one
+        carry test per key (_cap_test)."""
+        o, mask = _cap_test(caps, self.nvars)
         return PolyGF2._from_keys(
             self.nvars, [k for k in self._keys if not (k ^ o ^ (k + o)) & mask])
 

@@ -16,11 +16,19 @@ from equibox.certifier import (
     certify,
     criterion_polynomial,
     equipartition_table,
-    in_monomial_ideal,
     min_dimension,
 )
 from equibox.dickson import dickson_product
 from equibox.gf2poly import PolyGF2, _grlex_key, product
+
+
+def in_monomial_ideal(p, d):
+    """True iff p is in (x1^d, ..., xm^d): every term has an exponent >= d.
+    Membership in a monomial ideal is term-wise; the reference for the
+    non-membership test that certify decides without the whole criterion."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return all(max(t) >= d for t in p.term_tuples())
 
 
 def min_dimension_incremental(m, l, d_cap=4096):
@@ -46,7 +54,7 @@ def certify_full_expansion(m, l, d):
 def min_dimension_full_expansion(m, l):
     """1 + the least per-term largest exponent of the whole criterion; the
     reference for min_dimension's search in the truncated ring."""
-    return 1 + min(criterion_polynomial(m, l).max_exponents())
+    return 1 + min(map(max, criterion_polynomial(m, l).term_tuples()))
 
 
 # every (m, l) of the table sweeps, from l=1, whose criterion expands cheaply
@@ -208,10 +216,12 @@ def test_certify_at_the_l_guard():
     (5, 64, (62, 3, 7, 15, 31, 63)),
     (6, 63, None),
     (6, 40, None),
+    (6, 80, (0, 6, 13, 39, 75, 79)),
 ])
 def test_m6_certify_past_the_expansion_wall(l, d, witness):
     # witnesses recorded from the full expansion, which takes 1.7 s for
-    # (6, 5) and 94 s for (6, 6) on a 2-core host
+    # (6, 5) and 94 s for (6, 6) on a 2-core host; d = 80 from the build of
+    # every capped term, before the build stopped at the first slice (42 s)
     cert = certify(6, l, d)
     assert cert.witness == witness
     assert cert.verdict == (CERTIFIED if witness else INCONCLUSIVE)
@@ -226,7 +236,7 @@ def test_certify_takes_the_lex_least_term_without_a_build(monkeypatch, m, l):
     # term is the witness, and certify builds nothing
     least = _Truncation(m).least_term(l)
     assert least == min(criterion_polynomial(m, l).term_tuples())
-    monkeypatch.setattr(_Truncation, "criterion", None)
+    monkeypatch.setattr(_Truncation, "slices", None)
     for d in (max(least) + 1, max(least) + 3, _criterion_degree(m, l) + 5):
         cert = certify(m, l, d)
         assert (cert.verdict, cert.witness) == (CERTIFIED, least)
@@ -235,7 +245,7 @@ def test_certify_takes_the_lex_least_term_without_a_build(monkeypatch, m, l):
 def test_m6_certify_far_past_the_degree(monkeypatch):
     # the whole (6, 6) criterion has 7.2M terms and certify at d = 1000 used
     # to build all of them; its lex-least term needs only d >= 112
-    monkeypatch.setattr(_Truncation, "criterion", None)
+    monkeypatch.setattr(_Truncation, "slices", None)
     for d in (112, 1000):
         cert = certify(6, 6, d)
         assert cert.verdict == CERTIFIED
@@ -332,15 +342,23 @@ def test_min_dimension_matches_full_expansion(m, l):
     assert min_dimension(m, l) == min_dimension_full_expansion(m, l)
 
 
-@pytest.mark.parametrize("m, l", [(2, 7), (3, 6), (3, 9), (4, 4), (4, 7), (5, 2),
-                                  (5, 3), (6, 1), (6, 2)])
+@pytest.mark.parametrize("m, l", EXPANDABLE)
 def test_truncated_criterion_is_the_capped_full_criterion(m, l):
+    # the slices come in strictly ascending (x1, x2), each holds one
+    # (x1, x2), and together they are the capped whole criterion
     full = criterion_polynomial(m, l)
     trunc = _Truncation(m)
     d_min = min_dimension(m, l)
     for d in range(max(1, d_min - 3), d_min + 4):
-        assert trunc.criterion(l, d) == full._capped((d - 1,) * m)
-    assert not trunc.criterion(l, d_min - 1)
+        slices = list(trunc.slices(l, d))
+        heads = [{t[:2] for t in piece.term_tuples()} for piece in slices]
+        assert all(len(h) == 1 for h in heads)
+        heads = [h.pop() for h in heads]
+        assert heads == sorted(set(heads))
+        terms = set().union(*(piece.term_tuples() for piece in slices))
+        assert sum(map(len, slices)) == len(terms)
+        assert terms == full._capped((d - 1,) * m).term_tuples()
+        assert bool(slices) == (d >= d_min)
 
 
 def test_criterion_degree_closed_form():
@@ -353,6 +371,13 @@ def test_criterion_degree_closed_form():
 def test_m6_min_dimensions_past_the_expansion_wall(l, d):
     # recorded from the full expansion, which takes 0.3 s, 22 s and 44 s on
     # a 2-core host
+    assert min_dimension(6, l) == d
+
+
+@pytest.mark.parametrize("l, d", [(12, 127), (13, 128), (14, 128), (20, 249)])
+def test_m6_deep_min_dimensions(l, d):
+    # recorded by the search that built every capped term of each d, before
+    # the builds were sliced: (6, 13) took 10.9 s and 414 MB, (6, 14) 45 s
     assert min_dimension(6, l) == d
 
 

@@ -12,6 +12,7 @@ from equibox.gf2poly import (
     NonDivisibleError,
     PolyGF2,
     VariableMismatchError,
+    _exponent_fields,
     product,
 )
 
@@ -212,11 +213,22 @@ def test_divide_undoes_monomial_multiplication(p, mu):
 
 # -- views ------------------------------------------------------------------------
 
+def max_exponents(p):
+    """The largest exponent of each term, one int per term, unordered: a
+    strided view of the packed fields, the same fields that __mul__'s
+    overflow guard reads."""
+    n = p.nvars
+    fields = _exponent_fields(p._keys, n)
+    if n == 1:
+        return fields.tolist()
+    return list(map(max, *(fields[i::n] for i in range(n))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: polys(n, max_terms=10, max_exp=EXP_MAX)))
 def test_max_exponents_match_term_tuples(p):
-    assert sorted(p.max_exponents()) == sorted(max(t) for t in p.term_tuples())
+    assert sorted(max_exponents(p)) == sorted(max(t) for t in p.term_tuples())
 
 
 # -- truncation --------------------------------------------------------------------
@@ -238,6 +250,33 @@ def test_capped_commutes_with_products_and_squares(a, b, caps):
     assert (a * b)._capped(caps) == (a._capped(caps) * b._capped(caps))._capped(caps)
     halved = tuple(c >> 1 for c in caps)
     assert (a * a)._capped(caps) == a._capped(halved)._squared()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(polys(n, max_terms=10), polys(n, max_terms=10),
+                        st.tuples(*[st.integers(0, 12)] * n))))
+def test_slices_join_to_the_capped_product(case):
+    # one (x1, x2) per slice, strictly ascending, no empty slice, and
+    # together exactly the capped product
+    a, b, caps = case
+    slices = list(a._slices(b, caps))
+    heads = [{t[:2] for t in piece.term_tuples()} for piece in slices]
+    assert all(len(h) == 1 for h in heads)
+    heads = [h.pop() for h in heads]
+    assert heads == sorted(set(heads))
+    joined = set().union(*(piece.term_tuples() for piece in slices))
+    assert sum(map(len, slices)) == len(joined)
+    assert joined == (a * b)._capped(caps).term_tuples()
+
+
+def test_slices_refuse_exponent_overflow():
+    # the same guard as __mul__, once a group pair passes the x1, x2 caps
+    a, b = P(3, (0, 0, EXP_MAX)), P(3, (1, 0, 1))
+    with pytest.raises(ExponentOverflowError):
+        next(a._slices(b, (EXP_MAX,) * 3))
+    with pytest.raises(VariableMismatchError):
+        next(a._slices(P(2, (1, 1)), (EXP_MAX,) * 3))
 
 
 def test_capped_edges():
