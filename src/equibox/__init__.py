@@ -8,3 +8,4 @@ equipartition search (solver). The `equibox` CLI wires them together.
 """
 
 __version__ = "0.1.0"
+SCHEMA = "equibox/1"  # the tag of every JSON report and measure file

@@ -52,11 +52,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # accepts. They bound the truncated products its search builds, which
 # grow with the criterion degree (2^m - 2) * l / 2: at the caps the
 # largest product before capping has 2.3e5 terms (m=6; the full m=6, l=6
-# criterion has 7.2e6). With the certifying builds stopped at their first
-# slice, the whole m=6 table takes about 0.15 s on a 2-core x86-64 host
-# (Intel Xeon, Python 3.11.7), most of it in the certifying d = 64 of
-# rows 5 and 6, and the m=5 table 0.013 s. The caps keep their values:
-# they set which tables the CLI accepts.
+# criterion has 7.2e6). The caps also set which tables the CLI accepts.
 _TABLE_LMAX_CAP = {2: 128, 3: 64, 4: 32, 5: 12, 6: 6}
 
 
@@ -141,8 +137,7 @@ def certify(m, l, d):
     exponent <= d-1, it is the witness and nothing is built; otherwise
     the witness is the lex-least term of the first slice of the terms
     with all exponents <= d-1 (_Truncation.slices), and no later slice is
-    built: certify(6, 6, 80) takes about 0.5 s and 50 MB, where building
-    every capped term took 39 s and 0.9 GB.
+    built.
     INCONCLUSIVE asserts nothing. The note is set when the degree alone
     leaves no such term: a term with every exponent <= d-1 has degree at
     most m(d-1).
@@ -268,15 +263,13 @@ def min_dimension(m, l):
     d = 1 + ceil(degree / m), d + 1, ... it builds only those terms
     (_Truncation) and stops at the first d that leaves one, as soon as the
     first slice of that d holds one. Each failing d builds every slice, and
-    those failing builds are most of what remains: on a 2-core host,
-    min_dimension(6, l) takes about 0.05-0.16 s at l = 5, 10, 12 and 20,
-    0.5 s at l = 13 and 0.9 s at l = 14. A single query
-    starts at that degree bound; equipartition_table starts each row at
-    the previous row's d, which is never larger. Dropping a
-    term is exact because no product can lower an exponent: a term past
-    a cap only ever yields terms past it, so the kept terms and their
-    GF(2) coefficients are those of the full expansion. The kept terms
-    only grow with d, so the first hit is the least d.
+    those failing builds are most of its cost. A single query starts at
+    that degree bound; equipartition_table starts each row at the previous
+    row's d, which is never larger. Dropping a term is exact because no
+    product can lower an exponent: a term past a cap only ever yields
+    terms past it, so the kept terms and their GF(2) coefficients are
+    those of the full expansion. The kept terms only grow with d, so the
+    first hit is the least d.
     """
     _check_l(m, l)
     return _Truncation(m).min_dimension(l)
@@ -290,7 +283,7 @@ def equipartition_table(m, l_max):
     Proof: Q = P_m/x1 is the product of every nonzero linear form except
     x1, so Q = P_{m-1}(x2..xm) * R, where R is the product of the
     2^(m-1) - 1 forms that contain x1, other than x1 itself. With the
-    criterion's two shapes (_Truncation.criterion) that gives
+    criterion's two shapes (_Truncation.slices) that gives
 
         crit(2k+1) = crit(2k) * R,
         crit(2k+2) = crit(2k+1) * P_{m-1}(x2..xm).

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = CERTIFIED / ok, 2 = INCONCLUSIVE (or NOT_CONVERGED /
 FAIL / MISMATCH), 1 = usage or input error.
-All machine-readable output carries "schema": "equibox/1".
+All machine-readable output carries "schema": "equibox/1" (equibox.SCHEMA).
 """
 
 import argparse
@@ -13,10 +13,8 @@ import sys
 
 # measures and solver pull in numpy; the numerical commands
 # import them when they run, so that the algebraic commands start fast
-from equibox import certifier, dickson, repdecomp
+from equibox import SCHEMA, certifier, dickson, repdecomp
 from equibox.gf2poly import PolyGF2
-
-SCHEMA = "equibox/1"
 
 # criterion 2: min_dimension(2, l) = ceil(l/2) + 1, so l = 2k and 2k-1 share
 # their d, and every m = 2 table carries this note

@@ -143,10 +143,6 @@ class PolyGF2:
         return self
 
     @classmethod
-    def zero(cls, nvars):
-        return cls._from_keys(nvars, frozenset())
-
-    @classmethod
     def one(cls, nvars):
         return cls._from_keys(nvars, frozenset((0,)))
 
@@ -194,10 +190,6 @@ class PolyGF2:
             return -1
         return max(sum(unpack_key(k, self.nvars)) for k in self._keys)
 
-    def is_homogeneous(self):
-        degs = {sum(unpack_key(k, self.nvars)) for k in self._keys}
-        return len(degs) <= 1
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_ring(self, other):
@@ -211,8 +203,6 @@ class PolyGF2:
             return NotImplemented
         self._check_same_ring(other)
         return PolyGF2._from_keys(self.nvars, self._keys ^ other._keys)
-
-    __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         if not isinstance(other, PolyGF2):

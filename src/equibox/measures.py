@@ -10,8 +10,8 @@ project(w) projects the measure onto a direction, quantile_offsets(proj,
 targets) and membership(proj, offsets) read that projection, and
 combine(slab, sides, l) builds the box tensor from the memberships of
 the parallel family and of the m-1 single hyperplanes. The functions
-below (direction_quantiles, direction_cut, box_mass_tensor) only chain
-these steps and never ask which variant they hold.
+below (direction_cut, box_mass_tensor) only chain these steps and never
+ask which variant they hold.
 
 Boundary convention for point clouds: a point exactly on a hyperplane
 counts toward the lower slab / the 0 side. Ties are measure-zero for
@@ -58,6 +58,8 @@ import csv
 import json
 
 import numpy as np
+
+from equibox import SCHEMA
 
 GRID_QUANTILE_TOL = 1e-12  # bound on |F(offset) - target| of a grid quantile
 UNIT_NORM_TOL = 1e-12
@@ -316,7 +318,7 @@ def _load_grid_json(path):
 
 def write_grid_json(path, grid):
     obj = {
-        "schema": "equibox/1",
+        "schema": SCHEMA,
         "dim": grid.dim,
         "origin": list(grid.origin),
         "spacing": list(grid.spacing),
@@ -592,19 +594,12 @@ class ProjectedGridCDF:
         self.mass_below = np.concatenate(([0.0], np.cumsum(mass)))  # C_e
         self.edge_values = self.mass_below - np.concatenate(([0.0], frac_moment))
 
+    # stays because perfbench/layers.py:44 counts its calls (count_calls)
     def value(self, t):
-        s = (t - self.start) / self.width
-        e = int(np.floor(s))
-        if e < 0:
-            return 0.0
-        if e >= len(self.mass_below):
-            return float(self.mass_below[-1])
-        x = s - e
-        lower, upper = self.bins == e - 1, self.bins == e
-        return float(
-            self.mass_below[e]
-            - self.masses[lower] @ np.maximum(self.frac[lower] - x, 0.0)
-            + self.masses[upper] @ np.maximum(x - self.frac[upper], 0.0))
+        """F(t) from the spread model itself: each cell's mass times its
+        fraction below t, the ramp GridDensity.membership also applies."""
+        x = (t - self.start) / self.width - (self.bins + self.frac)
+        return float(self.masses @ np.clip(x, 0.0, 1.0))
 
     def quantiles(self, targets):
         """The least t with F(t) = target, for each target in (0, 1)."""
@@ -652,12 +647,11 @@ def _quantile_targets(l):
     return [(i + 1) / (l + 1) for i in range(l)]
 
 
+# stays because perfbench/layers.py:42 wraps it (measures.quantiles)
 def direction_quantiles(measure, u, l):
     """Offsets t_1 <= ... <= t_l splitting the measure into l+1 equal slabs
-    along u (up to the backend's quantile tolerance)."""
-    targets = _quantile_targets(l)
-    u = _check_direction(u, measure.dim)
-    return measure.quantile_offsets(measure.project(u), targets)
+    along u (up to the backend's quantile tolerance): direction_cut's."""
+    return direction_cut(measure, u, l)[0]
 
 
 # -- box masses --------------------------------------------------------------
@@ -665,11 +659,11 @@ def direction_quantiles(measure, u, l):
 
 def direction_cut(measure, w, k):
     """The cut direction w makes: the offsets of its k-quantile family
-    (direction_quantiles) and every unit's membership against them
-    (measure.membership). The measure is projected onto w once, for both
-    steps. A box tensor depends on a direction only through its cut, and
-    k = 1 is also a single hyperplane's median cut. Both arrays are
-    read-only, so that a cut can be shared."""
+    and every unit's membership against them (measure.membership). The
+    measure is projected onto w once, for both steps. A box tensor depends
+    on a direction only through its cut, and k = 1 is also a single
+    hyperplane's median cut. Both arrays are read-only, so that a cut can
+    be shared."""
     w = _check_direction(w, measure.dim)
     proj = measure.project(w)
     offsets = measure.quantile_offsets(proj, _quantile_targets(k))
@@ -693,12 +687,3 @@ def box_mass_tensor(measure, config):
              for v, c in zip(config.extra_dirs, config.extra_offsets[:, None])]
     return measure.combine(slab, sides, config.l)
 
-
-def complete_configuration(measure, u, extra_dirs, l):
-    """Configuration with offsets from quantiles (parallel) and medians."""
-    u = _check_direction(u, measure.dim)
-    parallel = direction_quantiles(measure, u, l)
-    extra_offsets = [
-        float(direction_quantiles(measure, v, 1)[0]) for v in extra_dirs
-    ]
-    return Configuration(u, np.atleast_2d(extra_dirs), parallel, extra_offsets)

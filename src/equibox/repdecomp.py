@@ -210,28 +210,6 @@ def _invariant_basis(spec):
     return basis
 
 
-# -- validation ---------------------------------------------------------
-
-
-def validate_action_spec(spec):
-    """Check involutivity, commutativity and constraint invariance.
-
-    Raises ValueError on the first violated property.
-    """
-    n = spec.box_count
-    ident = tuple(range(n))
-    for i, p in enumerate(spec.generator_perms):
-        if tuple(sorted(p)) != ident:
-            raise ValueError("generator %d is not a permutation" % i)
-        if tuple(p[p[b]] for b in range(n)) != ident:
-            raise ValueError("generator %d is not an involution" % i)
-    for i, p in enumerate(spec.generator_perms):
-        for j, q in enumerate(spec.generator_perms[i + 1:], start=i + 1):
-            if any(p[q[b]] != q[p[b]] for b in range(n)):
-                raise ValueError("generators %d and %d do not commute" % (i, j))
-    _invariant_basis(spec)
-
-
 # -- character decomposition --------------------------------------------
 
 

@@ -49,9 +49,9 @@ m + d + coarse_grid of them, l+1 slab fractions per cell each
 memo goes with the solve, and verify_configuration recomputes everything
 from scratch, one cut at a time.
 
-Whether the problem is in the certified regime is decided by
-d >= certifier.min_dimension(m, l), which works in the truncated ring
-and never expands the criterion.
+Whether the problem is in the certified regime is the verdict of
+certifier.certify(m, l, d) at the measure's d: one truncated build at
+most, never a search over d.
 
 Restarts begin at the chart points of deterministic seeded random
 vectors, or for d=2 first at the three best combinations of an optional
@@ -73,7 +73,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.linalg import norm
 
-from equibox import certifier
+from equibox import SCHEMA, certifier
 from equibox.measures import (
     GENERATED_VALUES_MAX,
     Configuration,
@@ -141,7 +141,7 @@ class _Report:
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(self._json_values())
-        return {"schema": "equibox/1", **out}
+        return {"schema": SCHEMA, **out}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -225,13 +225,6 @@ def _check_coarse_grid(n, m, d):
             "coarse_grid=%d asks for %d angle combinations at m=%d, above %d; "
             "the largest coarse_grid is %d"
             % (n, n ** m, m, COARSE_GRID_MAX_COMBOS, largest))
-
-
-def _certified_regime(m, l, d):
-    """Whether certify(m, l, d) is CERTIFIED, without expanding the
-    criterion: min_dimension is the least certified d, and a certificate
-    for d is one for every larger d."""
-    return d >= certifier.min_dimension(m, l)
 
 
 def _check_cut_size(measure, l, cuts=1):
@@ -481,7 +474,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
                 "tolerance %g below the point-cloud quantization floor %g "
                 "(3 * max weight)" % (tol, floor)
             )
-    certified = _certified_regime(m, l, d)
+    certified = certifier.certify(m, l, d).verdict == certifier.CERTIFIED
     if maxfev is None:
         maxfev = 400 * m * d
     cuts = _cut_memo(measure, capacity)

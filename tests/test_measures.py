@@ -16,7 +16,6 @@ from equibox.measures import (
     _bin_root,
     _uniform_quantile_offsets,
     box_mass_tensor,
-    complete_configuration,
     direction_cut,
     direction_quantiles,
     gaussian_mixture_cloud,
@@ -333,8 +332,8 @@ def test_degenerate_direction_rejected():
 
 def test_symmetric_gaussian_grid_six_boxes():
     g = _centered_gaussian_grid(256)
-    cfg = complete_configuration(g, np.array([1.0, 0.0]),
-                                 np.array([[0.0, 1.0]]), 2)
+    cfg = solver_test_map(g, np.array([1.0, 0.0]),
+                          np.array([[0.0, 1.0]]), 2).config
     tensor = box_mass_tensor(g, cfg)
     assert np.abs(tensor - 1 / 6).max() <= 1e-4
     assert abs(tensor.sum() - 1) <= 1e-12
@@ -344,11 +343,11 @@ def test_tensor_partition_of_unity():
     rng = np.random.default_rng(1)
     pc = gaussian_mixture_cloud(3, 2, 500, seed=2)
     u, extra = _random_config(rng, 3, 2, 3)
-    cfg = complete_configuration(pc, u, extra, 2)
+    cfg = solver_test_map(pc, u, extra, 2).config
     assert abs(box_mass_tensor(pc, cfg).sum() - 1) <= 1e-12
     g = gaussian_mixture_grid(2, 2, 64, seed=3)
     u, extra = _random_config(rng, 2, 1, 2)
-    cfg = complete_configuration(g, u, extra, 1)
+    cfg = solver_test_map(g, u, extra, 1).config
     assert abs(box_mass_tensor(g, cfg).sum() - 1) <= 1e-12
 
 
@@ -358,7 +357,7 @@ def test_cloud_tensor_matches_per_point_scan():
     w = rng.uniform(0.1, 1.0, 100)
     pc = PointCloud(pts, w)
     u, extra = _random_config(rng, 3, 2, 3)
-    cfg = complete_configuration(pc, u, extra, 2)
+    cfg = solver_test_map(pc, u, extra, 2).config
     got = box_mass_tensor(pc, cfg)
     # oracle: classify every point independently
     expect = np.zeros_like(got)
@@ -374,7 +373,7 @@ def test_grid_tensor_matches_per_cell_spread():
     rng = np.random.default_rng(17)
     g = GridDensity([-1.0, 0.5], [0.3, 0.2], rng.uniform(0.1, 1.0, (12, 12)))
     u, extra = _random_config(rng, 2, 2, 3)
-    cfg = complete_configuration(g, u, extra, 2)
+    cfg = solver_test_map(g, u, extra, 2).config
     got = box_mass_tensor(g, cfg)
     # oracle: spread every cell uniformly over c.w +- |w|.h/2 on its own
     centers, masses = g.cell_centers()
@@ -464,7 +463,7 @@ def test_split_tensor_matches_reference(kind, m):
     rng = np.random.default_rng(m)
     for l in range(1, 6):
         u, extra = _random_config(rng, measure.dim, l, m)
-        cfg = complete_configuration(measure, u, extra, l)
+        cfg = solver_test_map(measure, u, extra, l).config
         assert np.array_equal(box_mass_tensor(measure, cfg),
                               _reference_tensor(measure, cfg))
 
@@ -486,7 +485,7 @@ def test_split_tensor_matches_reference_wide_slab_index():
     # l = 300 offsets need a uint16 slab index
     pc = gaussian_mixture_cloud(2, 2, 3000, seed=35)
     u, extra = _random_config(np.random.default_rng(3), 2, 300, 3)
-    cfg = complete_configuration(pc, u, extra, 300)
+    cfg = solver_test_map(pc, u, extra, 300).config
     _, slab = direction_cut(pc, cfg.u, 300)
     assert slab.dtype == np.uint16 and slab.max() == 300
     assert np.array_equal(box_mass_tensor(pc, cfg), _reference_tensor(pc, cfg))
@@ -500,7 +499,7 @@ def test_cloud_box_index_type_boundaries(l, m):
     # shifts a side by 8 bits
     pc = gaussian_mixture_cloud(2, 2, 2000, seed=38)
     u, extra = _random_config(np.random.default_rng(l + m), 2, l, m)
-    cfg = complete_configuration(pc, u, extra, l)
+    cfg = solver_test_map(pc, u, extra, l).config
     assert np.array_equal(box_mass_tensor(pc, cfg), _reference_tensor(pc, cfg))
 
 
@@ -510,7 +509,9 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
     u, _ = _random_config(np.random.default_rng(4), measure.dim, 3, 2)
     for k in (1, 3):
         offsets, member = direction_cut(measure, u, k)
-        assert np.array_equal(offsets, direction_quantiles(measure, u, k))
+        targets = [(i + 1) / (k + 1) for i in range(k)]
+        assert np.array_equal(
+            offsets, measure.quantile_offsets(measure.project(u), targets))
         assert not offsets.flags.writeable and not member.flags.writeable
         if measure.kind == "point_cloud":
             proj = measure.points @ u
@@ -635,8 +636,8 @@ def test_equivariance_flip_parallel_direction():
     rng = np.random.default_rng(12)
     pc = gaussian_mixture_cloud(3, 2, 400, seed=5)
     u, extra = _random_config(rng, 3, 2, 3)
-    fwd = box_mass_tensor(pc, complete_configuration(pc, u, extra, 2))
-    rev = box_mass_tensor(pc, complete_configuration(pc, -u, extra, 2))
+    fwd = box_mass_tensor(pc, solver_test_map(pc, u, extra, 2).config)
+    rev = box_mass_tensor(pc, solver_test_map(pc, -u, extra, 2).config)
     assert np.allclose(rev, fwd[::-1, :], atol=1e-12)
 
 
@@ -644,8 +645,8 @@ def test_equivariance_flip_extra_direction():
     rng = np.random.default_rng(13)
     pc = gaussian_mixture_cloud(2, 2, 400, seed=6)
     u, extra = _random_config(rng, 2, 2, 2)
-    fwd = box_mass_tensor(pc, complete_configuration(pc, u, extra, 2))
-    flipped = box_mass_tensor(pc, complete_configuration(pc, u, -extra, 2))
+    fwd = box_mass_tensor(pc, solver_test_map(pc, u, extra, 2).config)
+    flipped = box_mass_tensor(pc, solver_test_map(pc, u, -extra, 2).config)
     assert np.allclose(flipped, fwd[:, [1, 0]], atol=1e-12)
 
 
@@ -653,11 +654,11 @@ def test_rigid_rotation_invariance():
     rng = np.random.default_rng(21)
     pc = gaussian_mixture_cloud(3, 2, 300, seed=8)
     u, extra = _random_config(rng, 3, 2, 3)
-    base = box_mass_tensor(pc, complete_configuration(pc, u, extra, 2))
+    base = box_mass_tensor(pc, solver_test_map(pc, u, extra, 2).config)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated = PointCloud(pc.points @ q.T, pc.weights)
     rot = box_mass_tensor(
-        rotated, complete_configuration(rotated, q @ u, extra @ q.T, 2))
+        rotated, solver_test_map(rotated, q @ u, extra @ q.T, 2).config)
     assert np.allclose(rot, base, atol=1e-12)
 
 

@@ -10,11 +10,11 @@ from equibox.repdecomp import (
     ActionSpec,
     CharacterTable,
     _group_perms,
+    _invariant_basis,
     build_test_representation,
     character_multiplicities,
     character_name,
     index_polynomial,
-    validate_action_spec,
 )
 
 CRITERION_5_CASES = [(m, l) for m in (2, 3) for l in range(1, 10)]
@@ -24,6 +24,28 @@ CRITERION_5_CASES += [(4, l) for l in range(1, 6)]
 def _named(table):
     return {character_name(chi): k
             for chi, k in table.multiplicities.items() if k}
+
+
+# -- validation of hand-built specs ---------------------------------------
+
+
+def validate_action_spec(spec):
+    """Check involutivity, commutativity and constraint invariance.
+
+    Raises ValueError on the first violated property.
+    """
+    n = spec.box_count
+    ident = tuple(range(n))
+    for i, p in enumerate(spec.generator_perms):
+        if tuple(sorted(p)) != ident:
+            raise ValueError("generator %d is not a permutation" % i)
+        if tuple(p[p[b]] for b in range(n)) != ident:
+            raise ValueError("generator %d is not an involution" % i)
+    for i, p in enumerate(spec.generator_perms):
+        for j, q in enumerate(spec.generator_perms[i + 1:], start=i + 1):
+            if any(p[q[b]] != q[p[b]] for b in range(n)):
+                raise ValueError("generators %d and %d do not commute" % (i, j))
+    _invariant_basis(spec)
 
 
 # -- reference: projector images and exact ranks (small cases only) ------

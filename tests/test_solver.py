@@ -25,7 +25,6 @@ from equibox.solver import (
     FAILURE_NOTE,
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
-    _certified_regime,
     _check_cut_size,
     _cut_memo,
     _angles,
@@ -199,22 +198,42 @@ def test_cut_memo_capacity_keeps_the_base_point(m, d):
 
 @pytest.mark.parametrize("m, l_max", [(2, 8), (3, 6), (4, 4), (5, 3)])
 def test_certified_regime_matches_certify(m, l_max):
+    # solve takes its regime from certify at the measure's d; min_dimension
+    # is the least certified d, and a certificate for d holds for every
+    # larger d, so the two agree
     for l in range(1, l_max + 1):
         least = certifier.min_dimension(m, l)
         for d in range(max(1, least - 2), least + 3):
             verdict = certifier.certify(m, l, d).verdict
-            assert _certified_regime(m, l, d) == (verdict == certifier.CERTIFIED)
+            assert (d >= least) == (verdict == certifier.CERTIFIED)
 
 
 def test_m6_solve_decides_regime_without_the_full_criterion():
-    # certify(6, 6, 2) expands a 7.2M-term criterion (most of a minute);
-    # the truncated min_dimension answers in under a second
+    # the full (6, 6) criterion has 7.2M terms (most of a minute to
+    # expand); certify(6, 6, 2) builds only the terms with every exponent
+    # <= 1, in the truncated ring, and answers at once
     g = GridDensity([0.0, 0.0], [1.0, 1.0],
                     np.random.default_rng(0).uniform(0.5, 1.0, (8, 8)))
     t0 = time.perf_counter()
     rep = solve_equipartition(g, 6, 6, tol=1e-3, max_restarts=1, maxfev=1)
     assert time.perf_counter() - t0 < 10.0
     assert not rep.certified_regime
+    assert rep.note == UNCERTIFIED_NOTE
+
+
+def test_solve_regime_needs_no_min_dimension_search(monkeypatch):
+    # min_dimension(6, 30) = 256 searches every d up from the degree bound
+    # (about a minute); the solve asks certify at its own d = 2 only
+    def search(m, l):
+        raise AssertionError("solve searched min_dimension(%d, %d)" % (m, l))
+
+    monkeypatch.setattr(certifier, "min_dimension", search)
+    g = GridDensity([0.0, 0.0], [1.0, 1.0],
+                    np.random.default_rng(0).uniform(0.5, 1.0, (8, 8)))
+    t0 = time.perf_counter()
+    rep = solve_equipartition(g, 30, 6, tol=1e-3, max_restarts=1, maxfev=1)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.certified_regime is False
     assert rep.note == UNCERTIFIED_NOTE
 
 
@@ -459,9 +478,8 @@ def test_verify_detects_perturbation():
 
 def test_verify_collinear_warning():
     g = _centered_gaussian_grid(48)
-    from equibox.measures import complete_configuration
     u = np.array([1.0, 0.0])
-    cfg = complete_configuration(g, u, u[None, :], 2)
+    cfg = eval_test_map(g, u, u[None, :], 2).config
     report = verify_configuration(g, cfg, 0.1)
     assert report.collinear_warning
     assert abs(report.box_masses.sum() - 1) < 1e-9
