@@ -21,14 +21,16 @@ PointCloud: the projection is p.w. The step CDF generally has no exact
 quantile, so an offset is the midpoint of the feasible interval and the
 per-slab mass error is bounded by the largest single weight. With equal
 weights and no tie next to a cut, the offsets come from order
-statistics: the middle target's rank is found by one single-kth
-selection (np.partition with one kth), its neighbours by a max and a min
-of the two parts, and the other targets recurse into the part on their
-side (_order_stats), O(N log l) in all. Otherwise the plateau path sorts
-the projections. A point's membership is its slab index, the number of
-offsets strictly below it, one comparison per offset (for a single
-hyperplane, its side 0 or 1); combine sums the weights per box with one
-bincount.
+statistics. A target t has rank ceil(tN - 1/2); halfway between two
+ranks (tN = k + 1/2, as at the median of an odd N) the plateau path's
+own comparison of two prefix sums picks one. The middle target's rank
+is found by one single-kth selection (np.partition with one kth), its
+neighbours by a max and a min of the two parts, and the other targets
+recurse into the part on their side (_order_stats), O(N log l) in all.
+Otherwise the plateau path sorts the projections. A point's membership
+is its slab index, the number of offsets strictly below it, one
+comparison per offset (for a single hyperplane, its side 0 or 1);
+combine sums the weights per box with one bincount.
 
 GridDensity: along a direction w, each cell's mass is spread uniformly
 over its projected interval c.w +- |w|.h / 2, and the projection is the
@@ -54,8 +56,8 @@ the rest. box_mass_tensor takes the membership and combine steps with a
 configuration's given offsets.
 """
 
-import csv
 import json
+import warnings
 
 import numpy as np
 
@@ -116,7 +118,7 @@ class PointCloud:
         """Midpoint-of-feasible-interval quantiles of the weighted step CDF
         along the projections proj."""
         if self._equal_weights:
-            fast = _uniform_quantile_offsets(proj, targets)
+            fast = _uniform_quantile_offsets(proj, self.weights, targets)
             if fast is not None:
                 return fast
         return _plateau_quantile_offsets(proj, self.weights, targets)
@@ -164,6 +166,11 @@ class GridDensity:
             raise MeasureFormatError("origin/spacing must match grid dimension")
         if np.any(spacing <= 0):
             raise MeasureFormatError("spacing must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # NaN passes the test above; a huge spacing overflows here
+            if not np.all(np.isfinite(origin + spacing * cells.shape)):
+                raise MeasureFormatError("origin, spacing and origin + "
+                                         "spacing * shape must be finite")
         if any(n < 2 for n in cells.shape):
             raise MeasureFormatError("grid needs at least 2 cells per axis")
         if np.any(cells < 0) or not np.all(np.isfinite(cells)):
@@ -261,40 +268,37 @@ def load_measure(path):
 
 
 def _load_cloud_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MeasureFormatError("empty CSV file") from None
-        header = [h.strip() for h in header]
+    # numpy warns of a file with no rows, which is refused below instead
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        line = fh.readline()
+        if not line:
+            raise MeasureFormatError("empty CSV file")
+        header = [h.strip() for h in line.split(",")]
         d = len(header) - 1
         if d < 1 or header != ["x%d" % (i + 1) for i in range(d)] + ["w"]:
             raise MeasureFormatError(
                 "CSV header must be x1,...,xd,w; got %r" % (header,)
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise MeasureFormatError("line %d: expected %d fields" % (lineno, d + 1))
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise MeasureFormatError("line %d: non-numeric field" % lineno) from None
-    if not rows:
+        try:
+            data = np.loadtxt(fh, delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            raise MeasureFormatError("bad CSV row: %s" % exc) from None
+    if len(data) == 0:
         raise MeasureFormatError("CSV contains no points")
-    data = np.asarray(rows)
+    if data.shape[1] != d + 1:
+        raise MeasureFormatError("CSV rows must have %d fields, got %d"
+                                 % (d + 1, data.shape[1]))
     return PointCloud(data[:, :d], data[:, d])
 
 
 def write_cloud_csv(path, cloud):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x%d" % (i + 1) for i in range(cloud.dim)] + ["w"])
-        for p, w in zip(cloud.points, cloud.weights):
-            writer.writerow(["%.17g" % x for x in p] + ["%.17g" % w])
+    """One row per point, each value as %.17g; lines end in CRLF."""
+    header = ",".join(["x%d" % (i + 1) for i in range(cloud.dim)] + ["w"])
+    np.savetxt(path, np.column_stack((cloud.points, cloud.weights)),
+               fmt="%.17g", delimiter=",", newline="\r\n", header=header,
+               comments="")
 
 
 def _load_grid_json(path):
@@ -323,7 +327,7 @@ def write_grid_json(path, grid):
         "origin": list(grid.origin),
         "spacing": list(grid.spacing),
         "shape": list(grid.cells.shape),
-        "data": [float(x) for x in grid.cells.reshape(-1)],
+        "data": grid.cells.ravel().tolist(),
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -388,11 +392,12 @@ def gaussian_mixture_grid(d, components, cells_per_axis, seed):
     lo = (means - 3.5 * sigmas[:, None]).min(axis=0)
     hi = (means + 3.5 * sigmas[:, None]).max(axis=0)
     spacing = (hi - lo) / cells_per_axis
-    axes = [lo[i] + (np.arange(cells_per_axis) + 0.5) * spacing[i] for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    density = np.zeros(mesh[0].shape)
+    # axis i spans dimension i of the grid; broadcasting forms the sums
+    axes = [(lo[i] + (np.arange(cells_per_axis) + 0.5) * spacing[i])
+            .reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)]
+    density = np.zeros((cells_per_axis,) * d)
     for mu, sig, w in zip(means, sigmas, weights):
-        sq = sum((mesh[i] - mu[i]) ** 2 for i in range(d))
+        sq = sum((axes[i] - mu[i]) ** 2 for i in range(d))
         density += w * np.exp(-sq / (2 * sig * sig)) / (2 * np.pi * sig * sig) ** (d / 2)
     return GridDensity(lo, spacing, density)
 
@@ -484,20 +489,24 @@ def _check_direction(u, d):
     return u
 
 
-def _uniform_quantile_offsets(proj, targets):
+def _uniform_quantile_offsets(proj, weights, targets):
     """Order-statistics shortcut for equal weights; None if the cut lands
     in a run of tied values (caller falls back to the plateau path).
 
     With s = sorted(proj), target rank k takes the midpoint of s[k-1] and
     s[k], unless s[k-2] == s[k-1] or s[k] == s[k+1]: a tie adjacent to
-    the cut makes the plateau CDF differ."""
+    the cut makes the plateau CDF differ. Target t has rank ceil(t n - 1/2);
+    halfway, at t n = k + 1/2, the plateau path's own comparison of the
+    prefix sums cw decides between k and k + 1."""
     n = len(proj)
     ks = []
     for t in targets:
         frac = t * n - 0.5
-        if frac == np.floor(frac):
-            return None  # exact tie between neighbor plateaus
         k = int(np.ceil(frac))
+        if frac == k:
+            cw = np.cumsum(weights[:k + 1])
+            if not (k >= 1 and t - cw[k - 1] <= cw[k] - t):
+                k += 1
         if not 1 <= k <= n - 1:
             return None
         ks.append(k)

@@ -356,7 +356,7 @@ def _lm_step(J_svd, n_res, Delta, alpha):
     return p, alpha
 
 
-def minimize(fun, x0, max_nfev, diff_step):
+def minimize(fun, x0, diff_step):
     """Unconstrained trust-region least squares on the residual vector fun(x).
 
     The unbounded branch of the "trf" method (Branch, Coleman & Li 1999)
@@ -372,19 +372,18 @@ def minimize(fun, x0, max_nfev, diff_step):
     MINPACK's hybrd), in place, so it stays Fortran-ordered; after one
     with a lower ratio, _jacobian rebuilds it. The search stops
     when the gradient's max-norm, the cost reduction or the step falls
-    below LSQ_TOL (relative to the cost and to |x|), or after max_nfev
-    evaluations outside the Jacobian probes. Nothing is returned: the
-    caller keeps what it needs from its own fun, as solve_equipartition's
-    residuals does."""
+    below LSQ_TOL (relative to the cost and to |x|). It keeps no budget
+    of evaluations: fun ends a search early by raising, as
+    solve_equipartition's residuals does at maxfev. Nothing is returned:
+    the caller keeps what it needs from its own fun."""
     x = np.array(x0, dtype=float)
     f = fun(x)
-    nfev = 1
     J = _jacobian(fun, x, f, diff_step)
     g = J.T.dot(f)
     cost = 0.5 * np.dot(f, f)
     Delta = norm(x) or 1.0
     alpha = 0.0
-    while not norm(g, ord=np.inf) < LSQ_TOL and nfev < max_nfev:
+    while not norm(g, ord=np.inf) < LSQ_TOL:
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         # U^T f and V p sum in layout order. Fortran-ordered factors, as
         # scipy.linalg.svd returns them, keep the iterates equal to the
@@ -392,13 +391,12 @@ def minimize(fun, x0, max_nfev, diff_step):
         J_svd = (np.asfortranarray(U).T.dot(f), s, np.asfortranarray(Vt).T)
         reduction = -1
         done = False
-        while reduction <= 0 and nfev < max_nfev:
+        while reduction <= 0:
             step, alpha = _lm_step(J_svd, f.size, Delta, alpha)
             Js = J.dot(step)
             predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
             f_new = fun(x_new)
-            nfev += 1
             step_norm = norm(step)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_norm
@@ -514,7 +512,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
             x0 = _angles(rng.standard_normal(m * d).reshape(m, d))
         evals = 0
         with contextlib.suppress(_StopRestart):
-            minimize(residuals, x0, maxfev, measure.diff_step)
+            minimize(residuals, x0, measure.diff_step)
         restart_evaluations.append(evals)
         if _accepted(best, tol):
             break

@@ -341,6 +341,37 @@ def test_oversized_l_is_error(capsys, argv):
     assert err.count("\n") == 1 and "largest l is 65533" in err
 
 
+@pytest.mark.parametrize("origin, spacing", [
+    ([float("nan"), 0.0], [0.5, 0.5]),
+    ([0.0, float("inf")], [0.5, 0.5]),
+    ([0.0, 0.0], [float("nan"), 0.5]),
+    ([0.0, 0.0], [0.5, float("inf")]),
+    ([0.0, 0.0], [1e308, 0.5]),  # the far corner overflows
+], ids=["nan-origin", "inf-origin", "nan-spacing", "inf-spacing",
+        "overflow"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_grid_with_non_finite_geometry_is_error(tmp_path, capsys, origin,
+                                                 spacing, command):
+    # json reads NaN and Infinity; a RuntimeWarning would fail the test
+    measure = tmp_path / "g.json"
+    measure.write_text(json.dumps({"dim": 2, "origin": origin,
+                                   "spacing": spacing, "shape": [4, 4],
+                                   "data": [1.0] * 16}))
+    out_path = tmp_path / "r.json"
+    if command == "solve":
+        argv = ("--l", "1", "--m", "2", "--out", str(out_path))
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"u": [1, 0], "extra_dirs": [[0, 1]],
+                                      "parallel_offsets": [0.5],
+                                      "extra_offsets": [0.5]}))
+        argv = ("--config", str(config), "--tol", "0.1")
+    code, out, err = run(capsys, command, "--input", str(measure), *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
+    assert not out_path.exists()
+
+
 def _ones_grid(tmp_path, n):
     measure = tmp_path / "g.json"
     measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],

@@ -1,6 +1,8 @@
 """Measure loading, quantiles, box tensors and their equivariance."""
 
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from equibox.measures import (
     PointCloud,
     ProjectedGridCDF,
     _bin_root,
+    _plateau_quantile_offsets,
     _uniform_quantile_offsets,
     box_mass_tensor,
     direction_cut,
@@ -85,6 +88,81 @@ def test_cloud_csv_roundtrip(tmp_path):
     assert np.array_equal(back.weights, cloud.weights)
 
 
+# reference: the cloud writer before numpy's savetxt, one csv.writer row
+# per point
+
+
+def _csv_writer_bytes(path, cloud):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x%d" % (i + 1) for i in range(cloud.dim)] + ["w"])
+        for p, w in zip(cloud.points, cloud.weights):
+            writer.writerow(["%.17g" % x for x in p] + ["%.17g" % w])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("d, n", [(1, 10), (2, 2000), (3, 1), (8, 300)])
+def test_cloud_csv_bytes_match_csv_writer(tmp_path, d, n):
+    cloud = gaussian_mixture_cloud(d, 3, n, seed=d)
+    rng = np.random.default_rng(n)  # unequal weights, tiny and huge values
+    cloud = PointCloud(cloud.points * 10.0 ** rng.integers(-300, 300, (n, 1)),
+                       rng.uniform(0.1, 1.0, n))
+    path = tmp_path / "c.csv"
+    write_cloud_csv(path, cloud)
+    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", cloud)
+    back = load_measure(path)
+    assert np.array_equal(back.points, cloud.points)
+    assert np.array_equal(back.weights, cloud.weights)
+
+
+_DECIMAL = st.from_regex(
+    r"\A[ ]?[-+]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20})"
+    r"([eE][-+]?[0-9]{1,3})?[ ]?\Z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DECIMAL, _DECIMAL), min_size=1, max_size=5))
+def test_cloud_csv_parses_decimals_as_float_does(tmp_path_factory, rows):
+    # one field bare, one quoted; a decimal past the float range is inf,
+    # which the cloud refuses, and is left out
+    rows = [r for r in rows if np.all(np.isfinite([float(x) for x in r]))]
+    if not rows:
+        return
+    path = tmp_path_factory.mktemp("dec") / "c.csv"
+    path.write_text("x1,x2,w\n" + "".join('%s,"%s",1\n' % r for r in rows))
+    assert load_measure(path).points.tolist() == [
+        [float(x) for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV file"),
+    ("x1,w\n", "CSV contains no points"),
+    ("x1,w\r\n\r\n\n", "CSV contains no points"),
+    ("x1,x2,w\n1,2,3\n1,2\n", "number of columns changed"),
+    ("x1,x2,w\n1,2\n3,4\n", "CSV rows must have 3 fields, got 2"),
+    ("x1,w\n1,2,\n", "could not convert"),
+    ("x1,w\n1,2\n  \n", "number of columns changed"),
+    ("x1,w\n# note\n1,2\n", "could not convert"),
+    ("x1,w\n1_000,2\n", "could not convert"),
+    ("x1,w\nnan,1\n", "coordinates must be finite"),
+])
+def test_cloud_csv_refusals_are_one_line(tmp_path, recwarn, text, message):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(MeasureFormatError, match=message) as info:
+        load_measure(path)
+    assert "\n" not in str(info.value)
+    assert not recwarn.list  # numpy's "input contained no data" included
+
+
+def test_cloud_csv_reads_crlf_blank_padded_and_quoted_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b' x1 , x2 ,w\r\n\r\n 1.5 ,"-2",1\r\n"3", 4e0 ,"3"\r\n')
+    cloud = load_measure(path)
+    assert cloud.points.tolist() == [[1.5, -2.0], [3.0, 4.0]]
+    assert cloud.weights.tolist() == [0.25, 0.75]
+
+
 def test_grid_json_roundtrip(tmp_path):
     grid = gaussian_mixture_grid(2, 2, 16, seed=4)
     path = tmp_path / "g.json"
@@ -92,6 +170,64 @@ def test_grid_json_roundtrip(tmp_path):
     back = load_measure(path)
     assert np.array_equal(back.cells, grid.cells)
     assert np.array_equal(back.origin, grid.origin)
+
+
+@pytest.mark.parametrize("origin, spacing", [
+    ([float("nan"), 0.0], [0.5, 0.5]),
+    ([0.0, float("inf")], [0.5, 0.5]),
+    ([float("-inf"), 0.0], [0.5, 0.5]),
+    ([0.0, 0.0], [float("nan"), 0.5]),
+    ([0.0, 0.0], [0.5, float("inf")]),
+    ([1e308, 0.0], [1e308, 0.5]),  # the far corner overflows
+], ids=["nan-origin", "inf-origin", "-inf-origin", "nan-spacing",
+        "inf-spacing", "overflow"])
+def test_grid_with_non_finite_geometry_is_refused(tmp_path, origin, spacing):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 2, "origin": origin, "spacing": spacing,
+                                "shape": [2, 2], "data": [1, 1, 1, 1]}))
+    with pytest.raises(MeasureFormatError, match="must be finite"):
+        load_measure(path)
+
+
+def _meshgrid_mixture_density(d, components, cells_per_axis, seed):
+    # reference: the generator's density before broadcasting, from d full
+    # coordinate grids
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1.5, 1.5, size=(components, d))
+    sigmas = rng.uniform(0.6, 1.1, size=components)
+    weights = rng.uniform(0.5, 1.5, size=components)
+    weights = weights / weights.sum()
+    lo = (means - 3.5 * sigmas[:, None]).min(axis=0)
+    hi = (means + 3.5 * sigmas[:, None]).max(axis=0)
+    spacing = (hi - lo) / cells_per_axis
+    axes = [lo[i] + (np.arange(cells_per_axis) + 0.5) * spacing[i]
+            for i in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    density = np.zeros(mesh[0].shape)
+    for mu, sig, w in zip(means, sigmas, weights):
+        sq = sum((mesh[i] - mu[i]) ** 2 for i in range(d))
+        density += (w * np.exp(-sq / (2 * sig * sig))
+                    / (2 * np.pi * sig * sig) ** (d / 2))
+    return density / density.sum()
+
+
+@pytest.mark.parametrize("d, cells", [(1, 50), (2, 48), (2, 160), (3, 20),
+                                      (4, 9)])
+def test_mixture_grid_matches_meshgrid_reference(d, cells):
+    grid = gaussian_mixture_grid(d, 3, cells, seed=d + cells)
+    want = _meshgrid_mixture_density(d, 3, cells, seed=d + cells)
+    assert np.array_equal(grid.cells, want)
+
+
+def test_mixture_grid_holds_no_coordinate_grids():
+    # 6^8 cells: d meshgrid arrays alone held 8 x cells x 8 bytes
+    tracemalloc.start()
+    try:
+        gaussian_mixture_grid(8, 1, 6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 6 ** 8 * 8
 
 
 def test_measure_invariants():
@@ -554,15 +690,23 @@ def _uniform_quantile_offsets_multi_kth(proj, targets):
 
 
 def _assert_same_offsets(proj, l):
+    n = len(proj)
     targets = [(i + 1) / (l + 1) for i in range(l)]
+    weights = np.full(n, 1.0 / n)
     before = proj.copy()
-    got = _uniform_quantile_offsets(proj, targets)
+    got = _uniform_quantile_offsets(proj, weights, targets)
     assert np.array_equal(proj, before)  # direction_cut reuses proj
+    if got is not None:  # a shortcut of the plateau path, never another rule
+        assert np.array_equal(
+            got, _plateau_quantile_offsets(proj, weights, targets))
+    # the reference gives up at a halfway target, t n = k + 1/2, which
+    # the shortcut now decides by the plateau path's own comparison
     want = _uniform_quantile_offsets_multi_kth(proj, targets)
-    if want is None:
-        assert got is None
-    else:
+    halfway = any(t * n - 0.5 == np.floor(t * n - 0.5) for t in targets)
+    if want is not None:
         assert got is not None and np.array_equal(got, want)
+    elif not halfway:
+        assert got is None
     return got
 
 
@@ -580,6 +724,15 @@ def test_uniform_quantiles_match_multi_kth_reference_wide():
     rng = np.random.default_rng(36)
     assert _assert_same_offsets(rng.standard_normal(2000), 300) is not None
     _assert_same_offsets(np.round(rng.standard_normal(2000), 2), 300)
+
+
+@pytest.mark.parametrize("n", [3, 5001, 50001])
+@pytest.mark.parametrize("l", [1, 3])
+def test_odd_count_median_stays_on_order_statistics(n, l):
+    # the median of an odd n sits halfway between two ranks; distinct
+    # values must not fall back to the plateau path's argsort
+    proj = np.random.default_rng(n).standard_normal(n)
+    assert _assert_same_offsets(proj, l) is not None
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 300])
@@ -608,7 +761,8 @@ def test_direction_cut_is_independent_of_point_order(points):
     shuffled = PointCloud(pts[perm], np.ones(len(pts)))
     u = np.array([1.0, 0.0, 0.0])  # on the tied cloud, the plateau path
     _, extra = _random_config(rng, 3, 3, 3)
-    fast = _uniform_quantile_offsets(base.points @ u, [0.25, 0.5, 0.75])
+    fast = _uniform_quantile_offsets(base.points @ u, base.weights,
+                                     [0.25, 0.5, 0.75])
     assert (fast is None) == (points == "tied")
 
     def cuts(measure):

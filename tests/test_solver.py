@@ -1,5 +1,6 @@
 """Test map, search, verification and determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -303,6 +304,9 @@ LSQ_REFERENCE_CASES = {
     "test-map-48": (_grid_deviation,
                     _angles(np.array([[1.0, 0.2], [0.3, 1.0]])), 30,
                     GridDensity.diff_step),
+    "test-map-48-budget": (_grid_deviation,
+                           _angles(np.array([[1.0, 0.2], [0.3, 1.0]])), 3,
+                           GridDensity.diff_step),
     "test-map-cloud": (_cloud_deviation, _angles(np.array(
         [[1.0, 0.2, 0.3], [0.1, 1.0, 0.4], [0.3, 0.2, 1.0]])), 30,
         PointCloud.diff_step),
@@ -339,30 +343,41 @@ def _secant_jacobian(fun, probed, diff_step):
     return jac
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
 @pytest.mark.parametrize("case", sorted(LSQ_REFERENCE_CASES))
 def test_minimize_retraces_scipy_least_squares(case):
     optimize = pytest.importorskip("scipy.optimize")
     make, x0, max_nfev, diff_step = LSQ_REFERENCE_CASES[case]
     fun = make()
 
-    def evaluated_points(run):
+    def evaluated_points(run, budget=None):
         points = []
 
         def recorded(x):
+            if len(points) == budget:
+                raise _BudgetSpent
             points.append(np.array(x))
             return fun(x)
-        run(recorded)
-        return np.array(points)
+        return run(recorded), np.array(points)
 
-    ours = evaluated_points(
-        lambda f: minimize(f, np.array(x0), max_nfev, diff_step))
-    reference = evaluated_points(lambda f: optimize.least_squares(
+    result, reference = evaluated_points(lambda f: optimize.least_squares(
         f, np.array(x0), method="trf",
         jac=_secant_jacobian(fun, f, diff_step), max_nfev=max_nfev))
-    assert len(ours) == len(reference)
-    np.testing.assert_allclose(ours, reference, rtol=1e-9, atol=1e-15)
+    # minimize keeps no budget: where scipy ran out of max_nfev (status 0),
+    # the function stops ours at the same evaluation, as solve's does
+    budget = len(reference) if result.status == 0 else None
+
+    def ours(f):
+        with contextlib.suppress(_BudgetSpent):
+            minimize(f, np.array(x0), diff_step)
+    _, points = evaluated_points(ours, budget)
+    assert len(points) == len(reference)
+    np.testing.assert_allclose(points, reference, rtol=1e-9, atol=1e-15)
     if case == "non-finite-steps":
-        assert any(not np.all(np.isfinite(fun(x))) for x in ours)
+        assert any(not np.all(np.isfinite(fun(x))) for x in points)
 
 
 def test_solve_leaves_scipy_unloaded():
