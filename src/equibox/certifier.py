@@ -109,6 +109,7 @@ def _rest(m):
     return (0,) + (1,) * (m - 1)
 
 
+# stays because perfbench/workloads.py reads it
 @lru_cache(maxsize=None)
 def criterion_polynomial(m, l):
     """The certificate polynomial for (m, l); nonzero and homogeneous.
@@ -118,6 +119,29 @@ def criterion_polynomial(m, l):
     """
     _check_l(m, l)
     return _joined(m, _Truncation(m).slices(l, EXP_MAX))
+
+
+def criterion_factors(m, l):
+    """The criterion for (m, l) as {form mask: exponent}, with bit i of a
+    mask for x_(i+1) and no zero exponent; GF(2)[x1..xm] factors uniquely,
+    so the table is the polynomial.
+
+    P_m is the product of every nonzero linear form and Q = P_m / x1 of
+    every one but x1. With k = l // 2 (_Truncation.slices):
+    odd l = 2k+1: Q^(k+1) / (x2...xm), so x2..xm get k and every form of
+    more than one variable k+1;
+    even l = 2k: (P_{m-1}(x2..xm) / (x2...xm)) * Q^k, so x2..xm and the
+    forms that contain x1 get k, and the other forms of more than one
+    variable k+1.
+    """
+    _check_l(m, l)
+    k = l // 2
+    factors = {}
+    for mask in range(2, 1 << m):  # mask 1, x1, has exponent 0
+        e = k if mask & (mask - 1) == 0 or (mask & 1 and not l % 2) else k + 1
+        if e:
+            factors[mask] = e
+    return factors
 
 
 def _joined(m, slices):
@@ -200,16 +224,12 @@ class _Truncation:
         """The lex-least term of criterion_polynomial(m, l), without a
         product. Lex order is a monomial order, so a product's lex-least
         term is the sum of its factors' lex-least terms, and no other pair
-        of terms reaches it to cancel it; dividing by a monomial subtracts
-        the monomial. With q the lex-least term of P_m / x1, that gives
-        (k+1) q - (0, 1, ..., 1) for odd l = 2k+1 and e + k q for even
-        l = 2k, e the lex-least term of the even factor."""
-        k = l // 2
-        q = min(_quotient_power(self.m).term_tuples())
-        if l % 2:
-            return tuple((k + 1) * a - b for a, b in zip(q, _rest(self.m)))
-        e = min(self.even.term_tuples())
-        return tuple(a + k * b for a, b in zip(e, q))
+        of terms reaches it to cancel it; a linear form's lex-least term
+        is its variable of highest index."""
+        term = [0] * self.m
+        for mask, e in criterion_factors(self.m, l).items():
+            term[mask.bit_length() - 1] += e
+        return tuple(term)
 
     def slices(self, l, d):
         """The terms of criterion_polynomial(m, l) with every exponent

@@ -72,6 +72,14 @@ class MeasureFormatError(ValueError):
     """A measure file failed to parse or violates an invariant."""
 
 
+def _projections_fit(d, *extremes):
+    """True iff 8 * sqrt(d) * max(extremes) is finite (NaN fails). For a
+    unit w, |x.w| <= sqrt(d) * max|x|, so that bounds every projection,
+    width, difference and midpoint that a cut forms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(8 * np.sqrt(d) * np.max(extremes)))
+
+
 def _frozen(a, dtype=float):
     out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     out.flags.writeable = False
@@ -87,14 +95,15 @@ class PointCloud:
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if points.ndim != 2 or points.shape[0] < 1:
+        if points.ndim != 2 or points.size == 0:
             raise MeasureFormatError("points must be a nonempty N x d array")
         if weights.shape != (points.shape[0],):
             raise MeasureFormatError("need one weight per point")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise MeasureFormatError("weights must be finite and nonnegative")
-        if not np.all(np.isfinite(points)):
-            raise MeasureFormatError("point coordinates must be finite")
+        if not _projections_fit(points.shape[1], points.max(), -points.min()):
+            raise MeasureFormatError("point coordinates must be finite, with "
+                                     "8 * sqrt(d) * max|x| finite")
         total = weights.sum()
         if total <= 0:
             raise MeasureFormatError("total mass must be positive")
@@ -168,9 +177,12 @@ class GridDensity:
             raise MeasureFormatError("spacing must be positive")
         with np.errstate(over="ignore", invalid="ignore"):
             # NaN passes the test above; a huge spacing overflows here
-            if not np.all(np.isfinite(origin + spacing * cells.shape)):
-                raise MeasureFormatError("origin, spacing and origin + "
-                                         "spacing * shape must be finite")
+            corner = origin + spacing * cells.shape
+        # every cell lies between the origin and the far corner
+        if not _projections_fit(d, np.abs((origin, corner)).max()):
+            raise MeasureFormatError("origin and origin + spacing * shape "
+                                     "must be finite, with 8 * sqrt(d) * "
+                                     "max|x| finite")
         if any(n < 2 for n in cells.shape):
             raise MeasureFormatError("grid needs at least 2 cells per axis")
         if np.any(cells < 0) or not np.all(np.isfinite(cells)):

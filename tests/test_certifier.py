@@ -8,12 +8,14 @@ from functools import reduce
 import pytest
 
 from equibox.certifier import (
+    _TABLE_LMAX_CAP,
     CERTIFIED,
     INCONCLUSIVE,
     PartitionProblem,
     _criterion_degree,
     _Truncation,
     certify,
+    criterion_factors,
     criterion_polynomial,
     equipartition_table,
     min_dimension,
@@ -129,6 +131,32 @@ def test_criterion_divides_the_next_row(m, l):
     else:
         g = _forms_product(m, [s for s in subsets if 0 in s and len(s) > 1])
     assert criterion_polynomial(m, l + 1) == criterion_polynomial(m, l) * g
+
+
+@pytest.mark.parametrize("m, l", [(m, l) for m in (2, 3, 4) for l in range(1, 9)]
+                         + [(5, 2)])
+def test_criterion_factors_multiply_to_the_criterion(m, l):
+    # the table is read from the criterion's definition, not from a build
+    forms = [[i for i in range(m) if mask >> i & 1]
+             for mask, e in criterion_factors(m, l).items() for _ in range(e)]
+    assert _forms_product(m, forms) == criterion_polynomial(m, l)
+
+
+def test_criterion_degree_is_the_sum_of_the_factor_exponents():
+    # _criterion_degree keeps its closed form, which the table ties down
+    for m, cap in _TABLE_LMAX_CAP.items():
+        for l in range(1, cap + 1):
+            degree = sum(criterion_factors(m, l).values())
+            assert _criterion_degree(m, l) == degree, (m, l)
+
+
+@pytest.mark.parametrize("m, l, message", [
+    (7, 2, "m must be in"), (2, 0, "l must be"), (2, 65534, "largest l is"),
+])
+def test_criterion_factors_refuse_what_the_criterion_refuses(m, l, message):
+    for build in (criterion_factors, criterion_polynomial):
+        with pytest.raises(ValueError, match=message):
+            build(m, l)
 
 
 def test_criterion_nonzero_homogeneous():

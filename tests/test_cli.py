@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import equibox
+from equibox import certifier, repdecomp
 from equibox.cli import dispatch
 
 
@@ -121,6 +122,48 @@ def test_decompose_match(capsys):
     assert code == 0
     assert obj["against_criterion"] == "MATCH"
     assert obj["total_dim"] == 3
+
+
+def test_decompose_prints_the_factored_index_polynomial(capsys):
+    code, out, _ = run(capsys, "decompose", "--m", "2", "--l", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["index_polynomial"] == "x2*(x1+x2)^2"
+    code, out, _ = run(capsys, "decompose", "--m", "3", "--l", "1")
+    assert code == 0
+    assert "index polynomial: (x2+x3)*(x1+x3)*(x1+x2)*(x1+x2+x3)\n" in out
+
+
+def test_decompose_builds_no_polynomial(capsys, monkeypatch):
+    # the expanded (6, 6) index polynomial has 7.2M terms; decompose
+    # compares exponents instead
+    def refuse(*args):
+        raise AssertionError("decompose built a polynomial")
+
+    monkeypatch.setattr(repdecomp, "index_polynomial", refuse)
+    monkeypatch.setattr(certifier, "criterion_polynomial", refuse)
+    code, out, _ = run(capsys, "decompose", "--m", "6", "--l", "6", "--json")
+    assert code == 0
+    assert json.loads(out)["against_criterion"] == "MATCH"
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_decompose_mismatch(capsys, monkeypatch, as_json):
+    # a criterion table missing one factor
+    factors = certifier.criterion_factors
+
+    def missing_one(m, l):
+        table = factors(m, l)
+        del table[max(table)]
+        return table
+
+    monkeypatch.setattr(certifier, "criterion_factors", missing_one)
+    argv = ["decompose", "--m", "3", "--l", "4"] + ["--json"] * as_json
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    if as_json:
+        assert json.loads(out)["against_criterion"] == "MISMATCH"
+    else:
+        assert out.endswith("\nMISMATCH against the closed-form criterion\n")
 
 
 @pytest.mark.parametrize("m,l", [(2, 1), (3, 2), (6, 1)])
@@ -372,6 +415,30 @@ def test_grid_with_non_finite_geometry_is_error(tmp_path, capsys, origin,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("kind", ["cloud", "grid"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_measure_whose_projections_overflow_is_error(tmp_path, capsys,
+                                                     overflowing_measure,
+                                                     kind, command):
+    # every value is finite; a RuntimeWarning would fail the test
+    measure = overflowing_measure(kind)
+    out_path = tmp_path / "r.json"
+    if command == "solve":
+        argv = ("--l", "1", "--m", "2", "--tol", "1e-2", "--out",
+                str(out_path))
+    else:
+        d = 3 if kind == "cloud" else 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "u": [1] + [0] * (d - 1), "extra_dirs": [[0, 1] + [0] * (d - 2)],
+            "parallel_offsets": [0.5], "extra_offsets": [0.5]}))
+        argv = ("--config", str(config), "--tol", "0.1")
+    code, out, err = run(capsys, command, "--input", str(measure), *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
+    assert not out_path.exists()
+
+
 def _ones_grid(tmp_path, n):
     measure = tmp_path / "g.json"
     measure.write_text(json.dumps({"dim": 2, "origin": [0, 0],
@@ -512,22 +579,22 @@ def test_cli_import_leaves_numerical_stack_unloaded():
 
 
 def test_closed_stdout_is_not_an_error():
-    # the reader takes 100 bytes of a 1.2 MB output, then closes the pipe
+    # the reader is gone before the first write, which raises EPIPE
     root = os.path.dirname(os.path.dirname(equibox.__file__))
     env = dict(os.environ, PYTHONPATH=root)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "equibox.cli", "decompose", "--m", "6",
-         "--l", "2", "--json"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        proc.stderr.close()
-    assert err == b""
+    for argv in (["decompose", "--m", "6", "--l", "2", "--json"],
+                 ["dickson", "--m", "3"],
+                 ["table", "--m", "3", "--l-max", "6"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "equibox.cli", *argv], env=env,
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert proc.stderr == b"", argv
 
 
 def test_solve_writes_out_when_stdout_is_closed(tmp_path, capsys):

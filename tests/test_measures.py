@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -123,9 +124,10 @@ _DECIMAL = st.from_regex(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_DECIMAL, _DECIMAL), min_size=1, max_size=5))
 def test_cloud_csv_parses_decimals_as_float_does(tmp_path_factory, rows):
-    # one field bare, one quoted; a decimal past the float range is inf,
-    # which the cloud refuses, and is left out
-    rows = [r for r in rows if np.all(np.isfinite([float(x) for x in r]))]
+    # one field bare, one quoted; a row that the cloud refuses, with a
+    # coordinate whose 8 * sqrt(d) * |x| is not finite, is left out
+    rows = [r for r in rows
+            if math.isfinite(8 * math.sqrt(2) * max(abs(float(x)) for x in r))]
     if not rows:
         return
     path = tmp_path_factory.mktemp("dec") / "c.csv"
@@ -187,6 +189,20 @@ def test_grid_with_non_finite_geometry_is_refused(tmp_path, origin, spacing):
                                 "shape": [2, 2], "data": [1, 1, 1, 1]}))
     with pytest.raises(MeasureFormatError, match="must be finite"):
         load_measure(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+def test_cloud_without_points_or_coordinates_is_refused(shape):
+    with pytest.raises(MeasureFormatError, match="nonempty N x d"):
+        PointCloud(np.zeros(shape), np.ones(shape[0]))
+
+
+@pytest.mark.parametrize("kind", ["cloud", "grid"])
+def test_measure_whose_projections_overflow_is_refused(overflowing_measure,
+                                                       kind):
+    # every value is finite, but a projection onto a unit vector is not
+    with pytest.raises(MeasureFormatError, match="must be finite"):
+        load_measure(overflowing_measure(kind))
 
 
 def _meshgrid_mixture_density(d, components, cells_per_axis, seed):

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from equibox.certifier import _TABLE_LMAX_CAP, criterion_polynomial
+from equibox.certifier import (
+    _TABLE_LMAX_CAP,
+    criterion_factors,
+    criterion_polynomial,
+)
 from equibox.repdecomp import (
     MAX_CONSTRAINT_ENTRIES,
     ActionSpec,
@@ -254,6 +258,24 @@ def test_oracle_equivalence_m5(l):
 @pytest.mark.parametrize("l", range(1, ORACLE_L_MAX[6] + 1))
 def test_oracle_equivalence_m6(l):
     _assert_oracle(6, l)
+
+
+# the largest l that build_test_representation accepts, for each m
+DECOMPOSE_L_MAX = {2: 722, 3: 510, 4: 359, 5: 253, 6: 177}
+
+
+@pytest.mark.parametrize("m", sorted(_TABLE_LMAX_CAP))
+def test_criterion_factors_are_the_multiplicities(m):
+    # unique factorization in GF(2)[x1..xm]: the index polynomial equals
+    # the criterion iff each form's multiplicity is its exponent there;
+    # checked on every table row, (6, 6) included, and at the guard
+    with pytest.raises(ValueError, match="too large to decompose"):
+        build_test_representation(m, DECOMPOSE_L_MAX[m] + 1)
+    for l in list(range(1, _TABLE_LMAX_CAP[m] + 1)) + [DECOMPOSE_L_MAX[m]]:
+        table = character_multiplicities(build_test_representation(m, l))
+        exponents = {sum(bit << i for i, bit in enumerate(chi)): k
+                     for chi, k in table.multiplicities.items() if k}
+        assert exponents == criterion_factors(m, l), (m, l)
 
 
 def test_unconstrained_action_has_fixed_vectors():
