@@ -11,9 +11,10 @@ import json
 import os
 import sys
 
-# measures and solver pull in numpy; the numerical commands
-# import them when they run, so that the algebraic commands start fast
-from equibox import SCHEMA, certifier, dickson, repdecomp
+# repdecomp, measures and solver are imported by the commands that use
+# them (measures and solver pull in numpy), so that the other commands
+# start fast
+from equibox import SCHEMA, certifier, dickson
 from equibox.gf2poly import PolyGF2
 
 # criterion 2: min_dimension(2, l) = ceil(l/2) + 1, so l = 2k and 2k-1 share
@@ -154,17 +155,20 @@ def _cmd_table(args):
 
 
 def _cmd_decompose(args):
+    from equibox import repdecomp
+
     # GF(2)[x1..xm] factors uniquely, so the index polynomial equals the
     # criterion iff each form's multiplicity is its exponent there; the
     # expanded comparison lives in the tests and in perfbench
     spec = repdecomp.build_test_representation(args.m, args.l)
     table = repdecomp.character_multiplicities(spec)
-    listed = sorted(table.multiplicities.items())
-    named = {repdecomp.character_name(chi): k for chi, k in listed}
-    exponents = {sum(bit << i for i, bit in enumerate(chi)): k
-                 for chi, k in listed if k}
+    mult = table.multiplicities
+    forms = {mask: k for mask, k in mult.items() if k}
     factors = certifier.criterion_factors(args.m, args.l)
-    verdict = "MATCH" if exponents == factors else "MISMATCH"
+    verdict = "MATCH" if forms == factors else "MISMATCH"
+    # listed by the forms' bit strings read from x1 on: x2, x1, x1+x2
+    order = sorted(mult, key=lambda mask: format(mask, "0%db" % args.m)[::-1])
+    named = {repdecomp.character_name(mask): mult[mask] for mask in order}
     index = "*".join(
         ("(%s)" if "+" in name else "%s") % name + ("^%d" % k if k > 1 else "")
         for name, k in named.items() if k)

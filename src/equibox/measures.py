@@ -56,6 +56,8 @@ the rest. box_mass_tensor takes the membership and combine steps with a
 configuration's given offsets.
 """
 
+import contextlib
+import itertools
 import json
 import warnings
 
@@ -293,16 +295,40 @@ def _load_cloud_csv(path):
                 "CSV header must be x1,...,xd,w; got %r" % (header,)
             )
         try:
-            data = np.loadtxt(fh, delimiter=",", quotechar='"',
-                              comments=None, ndmin=2)
+            data = _csv_rows(fh)
         except ValueError as exc:
-            raise MeasureFormatError("bad CSV row: %s" % exc) from None
+            # numpy's message ends in its own row count, not the file line
+            reason = str(exc).partition(" at row ")[0]
+            raise MeasureFormatError("bad CSV line %d: %s"
+                                     % (_first_bad_line(fh), reason)) from None
     if len(data) == 0:
         raise MeasureFormatError("CSV contains no points")
     if data.shape[1] != d + 1:
         raise MeasureFormatError("CSV rows must have %d fields, got %d"
                                  % (d + 1, data.shape[1]))
     return PointCloud(data[:, :d], data[:, d])
+
+
+def _csv_rows(lines):
+    # blank lines are skipped, fields may be padded or quoted, '#' is data
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                      ndmin=2)
+
+
+def _first_bad_line(fh):
+    """The file line of the first row that numpy refuses, the header
+    being line 1; numpy's own row count skips the header and blank lines.
+
+    Read again from an iterator of lines, numpy takes one line at a time
+    and stops at that row, so the count of lines taken names it (for a
+    row whose quoted field spans lines, its last line).
+    """
+    fh.seek(0)
+    next(fh)  # the header
+    taken = itertools.count(2)
+    with contextlib.suppress(ValueError):
+        _csv_rows(line for line, _ in zip(fh, taken))
+    return next(taken) - 1
 
 
 def write_cloud_csv(path, cloud):

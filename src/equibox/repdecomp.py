@@ -26,27 +26,31 @@ basis of C whose row i holds a positive integer D_i at its pivot column
 p_i and 0 at every other pivot; then tr(g | C) = sum over i of
 row_i[g(p_i)] / D_i. A spec whose constraint span is not invariant is
 refused, because the formula needs the splitting. All arithmetic is
-exact and in plain integers: each constraint row (int or Fraction
-entries) is scaled to integers once, the elimination is fraction-free
+exact and in plain integers: the constraint rows are sparse
+{box: nonzero int} dicts, the elimination is fraction-free
 (cross-multiplication with gcd removal, after Bareiss 1968), and the
 traces are summed as integer numerators over one common denominator. A
 floating-point trace could silently shift a multiplicity by one and
 poison the oracle.
+
+A character is keyed by its form mask: bit i is set iff generator i acts
+by -1, and then its linear form holds x_(i+1). This is the key of
+certifier.criterion_factors and dickson.forms_product.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import eq
 
 from equibox.dickson import MAX_VARS, forms_product
 from equibox.gf2poly import PolyGF2
 
-# bound on constraint rows x boxes, the entries the constraints take. At
-# each m's largest l, (2, 722), (3, 510), (4, 359), (5, 253) and (6, 177),
-# the action and its multiplicities take 0.10-0.31 s on a 2-core x86-64
-# host (Python 3.11.7), so every decompose that the bound accepts answers
-# in under a second
+# bound on constraint rows x boxes, the entries that dense rows would take.
+# The rows are sparse, but the bound stays, so that the accepted (m, l)
+# stay fixed: each m's largest l is (2, 722), (3, 510), (4, 359), (5, 253)
+# or (6, 177), where the action and its multiplicities take 0.03-0.19 s on
+# a 2-core x86-64 host (Python 3.11.7), so every decompose that the bound
+# accepts answers in under a second
 MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
@@ -56,8 +60,8 @@ class ActionSpec:
 
     Boxes are indexed by id = slab * 2^(m-1) + bits, slab in [0, l],
     bits an (m-1)-bit side vector. generator_perms[i][b] is the image
-    of box b under generator i; constraints are coefficient rows over
-    box coordinates.
+    of box b under generator i; each constraint is a sparse
+    {box: nonzero int coefficient} row over box coordinates.
     """
 
     m: int
@@ -72,17 +76,17 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Multiplicity of each sign character, keyed by the m-bit vector of
-    generators acting by -1."""
+    """Multiplicity of each sign character, keyed by its form mask (see
+    the module docstring): bit i for x_(i+1)."""
 
     m: int
     multiplicities: dict
     total_dim: int
 
 
-def character_name(chi):
+def character_name(mask):
     """Human name of a character: the GF(2) linear form, e.g. 'x1+x3'."""
-    parts = ["x%d" % (i + 1) for i, bit in enumerate(chi) if bit]
+    parts = ["x%d" % (i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
     return "+".join(parts) if parts else "trivial"
 
 
@@ -105,7 +109,6 @@ def build_test_representation(m, l):
             "take more than %d entries; the largest l is %d"
             % (l, m, MAX_CONSTRAINT_ENTRIES, largest))
     half = 2 ** (m - 1)
-    nboxes = (l + 1) * half
 
     def box(slab, bits):
         return slab * half + bits
@@ -122,33 +125,18 @@ def build_test_representation(m, l):
             box(slab, bits ^ bit) for slab in range(l + 1) for bits in range(half)
         ))
 
-    constraints = []
-    for slab in range(l + 1):  # each slab holds exactly 1/(l+1): deviations sum to 0
-        row = [0] * nboxes
-        for bits in range(half):
-            row[box(slab, bits)] = 1
-        constraints.append(tuple(row))
+    # each slab holds exactly 1/(l+1): its deviations sum to 0
+    constraints = [{box(slab, bits): 1 for bits in range(half)}
+                   for slab in range(l + 1)]
     for j in range(1, m):  # each extra hyperplane halves the mass
         bit = 1 << (j - 1)
-        row = [0] * nboxes
-        for slab in range(l + 1):
-            for bits in range(half):
-                if not bits & bit:
-                    row[box(slab, bits)] = 1
-        constraints.append(tuple(row))
+        constraints.append({box(slab, bits): 1 for slab in range(l + 1)
+                            for bits in range(half) if not bits & bit})
 
     return ActionSpec(m, l, tuple(perms), tuple(constraints))
 
 
 # -- exact linear algebra over Q, in integers ---------------------------
-
-
-def _integer_row(dense):
-    """The row as {column: nonzero int}, scaled by the lcm of its entries'
-    denominators (entries may be any int or Fraction)."""
-    row = {c: Fraction(x) for c, x in enumerate(dense) if x}
-    scale = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
 
 
 def _reduce(row, basis):
@@ -189,8 +177,8 @@ def _reduced_basis(rows):
     pivot: a vector w of the span is the sum of w[p_i] / D_i times row i.
     """
     basis = {}
-    for dense in rows:
-        row = _reduce(_integer_row(dense), basis)
+    for row in rows:
+        row = _reduce(dict(row), basis)  # _reduce may change its row
         if not row:
             continue
         pivot = min(row)
@@ -254,16 +242,17 @@ def character_multiplicities(spec):
     order = 1 << spec.m
     total_dim = spec.box_count - len(basis)
     mult = {}
-    for chi_mask in range(order):
-        chi = tuple((chi_mask >> i) & 1 for i in range(spec.m))
-        inner = sum(-t if (g & chi_mask).bit_count() & 1 else t
+    for mask in range(order):
+        inner = sum(-t if (g & mask).bit_count() & 1 else t
                     for g, t in enumerate(trace))
         k, rest = divmod(inner, order * denom)
         if rest or k < 0:
+            from fractions import Fraction
+
             raise ValueError(
                 "character %s has multiplicity %s, not a non-negative integer"
-                % (character_name(chi), Fraction(inner, order * denom)))
-        mult[chi] = k
+                % (character_name(mask), Fraction(inner, order * denom)))
+        mult[mask] = k
     if sum(mult.values()) != total_dim:
         raise ValueError("multiplicities sum to %d, not the dimension %d"
                          % (sum(mult.values()), total_dim))
@@ -288,8 +277,7 @@ def index_polynomial(spec, table=None):
     """
     if table is None:
         table = character_multiplicities(spec)
-    forms = {sum(bit << i for i, bit in enumerate(chi)): k
-             for chi, k in table.multiplicities.items()}
+    forms = table.multiplicities
     if forms.get(0):  # mask 0 is the trivial character
         raise ValueError(
             "trivial character has multiplicity %d; no index obstruction"

@@ -133,6 +133,22 @@ def test_decompose_prints_the_factored_index_polynomial(capsys):
     assert "index polynomial: (x2+x3)*(x1+x3)*(x1+x2)*(x1+x2+x3)\n" in out
 
 
+def test_decompose_text_lists_characters_x1_bit_first(capsys):
+    # the forms' bit strings read from x1 on, in ascending order
+    code, out, _ = run(capsys, "decompose", "--m", "3", "--l", "2")
+    assert code == 0
+    assert out == (
+        "character multiplicities (dim 7):\n"
+        "  x3               1\n"
+        "  x2               1\n"
+        "  x2+x3            2\n"
+        "  x1+x3            1\n"
+        "  x1+x2            1\n"
+        "  x1+x2+x3         1\n"
+        "index polynomial: x3*x2*(x2+x3)^2*(x1+x3)*(x1+x2)*(x1+x2+x3)\n"
+        "MATCH against the closed-form criterion\n")
+
+
 def test_decompose_builds_no_polynomial(capsys, monkeypatch):
     # the expanded (6, 6) index polynomial has 7.2M terms; decompose
     # compares exponents instead
@@ -576,6 +592,29 @@ def test_cli_import_leaves_numerical_stack_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_only_decompose_loads_repdecomp():
+    # the child imports equibox from where this process found it; the last
+    # command, decompose, shows that the probe sees the import
+    root = os.path.dirname(os.path.dirname(equibox.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from equibox.cli import dispatch",
+        "for argv in ('min-d --m 3 --l 4', 'certify --m 3 --l 4 --d 7',",
+        "             'table --m 3 --l-max 4', 'dickson --m 3 --json',",
+        "             'decompose --m 3 --l 4'):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = dispatch(argv.split())",
+        "    print(argv.split()[0], code, *(m for m in",
+        "          ('equibox.repdecomp', 'fractions') if m in sys.modules))",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "min-d 0", "certify 0", "table 0", "dickson 0",
+        "decompose 0 equibox.repdecomp"]
 
 
 def test_closed_stdout_is_not_an_error():

@@ -157,6 +157,24 @@ def test_cloud_csv_refusals_are_one_line(tmp_path, recwarn, text, message):
     assert not recwarn.list  # numpy's "input contained no data" included
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1,w\n1,2\n3,a\n",
+     "bad CSV line 3: could not convert string 'a' to float64$"),
+    ("x1,x2,w\n1,2,3\n1,2\n",
+     "bad CSV line 3: the number of columns changed from 3 to 2$"),
+    ("x1,w\n\n1,2\n\n3,a\n",
+     "bad CSV line 5: could not convert string 'a' to float64$"),
+    ("x1,w\r\n1,2\r\n  \r\n",
+     "bad CSV line 3: the number of columns changed from 2 to 1$"),
+])
+def test_cloud_csv_refusals_name_the_file_line(tmp_path, text, message):
+    # the header is line 1, and blank lines count
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(MeasureFormatError, match=message):
+        load_measure(path)
+
+
 def test_cloud_csv_reads_crlf_blank_padded_and_quoted_rows(tmp_path):
     path = tmp_path / "c.csv"
     path.write_bytes(b' x1 , x2 ,w\r\n\r\n 1.5 ,"-2",1\r\n"3", 4e0 ,"3"\r\n')
