@@ -18,13 +18,17 @@ counts toward the lower slab / the 0 side. Ties are measure-zero for
 generic data; the convention just makes reruns reproducible.
 
 PointCloud: the projection is p.w. The step CDF generally has no exact
-quantile, so an offset is the midpoint of the feasible interval and the
-per-slab mass error is bounded by the largest single weight. With equal
-weights and no tie next to a cut, the offsets come from order
-statistics. A target t has rank ceil(tN - 1/2); halfway between two
-ranks (tN = k + 1/2, as at the median of an odd N) the plateau path's
-own comparison of two prefix sums picks one. The middle target's rank
-is found by one single-kth selection (np.partition with one kth), its
+quantile. Its plateaus are the distinct projected values, and a cut lies
+midway between two of them, or 1 below the lowest or 1 above the
+highest. One rule picks the cut for a target (_closest_cuts): the cut
+whose mass below is closest to it, the lower on ties. So the slabs along
+-u are those along u reversed (but where a target lies halfway between
+two cuts), and with distinct projections the per-slab mass error is
+bounded by the largest single weight. With equal weights each point is
+its own plateau, so the rule ranks the targets against the prefix sums
+of the weights, which the cloud keeps, and when no tie is next to a cut
+the offsets come from order statistics: the middle target's rank is
+found by one single-kth selection (np.partition with one kth), its
 neighbours by a max and a min of the two parts, and the other targets
 recurse into the part on their side (_order_stats), O(N log l) in all.
 Otherwise the plateau path sorts the projections. A point's membership
@@ -111,8 +115,10 @@ class PointCloud:
             raise MeasureFormatError("total mass must be positive")
         self.points = _frozen(points)
         self.weights = _frozen(weights / total)
-        # the weights are frozen: one test here, not one per cut
-        self._equal_weights = bool(self.weights.min() == self.weights.max())
+        # the weights are frozen: one test here, not one per cut; equal
+        # weights rank a cut's targets against their prefix sums
+        self._prefix = (_frozen(np.cumsum(self.weights))
+                        if self.weights.min() == self.weights.max() else None)
 
     @property
     def dim(self):
@@ -126,10 +132,10 @@ class PointCloud:
         return self.points @ w
 
     def quantile_offsets(self, proj, targets):
-        """Midpoint-of-feasible-interval quantiles of the weighted step CDF
-        along the projections proj."""
-        if self._equal_weights:
-            fast = _uniform_quantile_offsets(proj, self.weights, targets)
+        """The closest cuts (_closest_cuts) of the weighted step CDF along
+        the projections proj."""
+        if self._prefix is not None:
+            fast = _uniform_quantile_offsets(proj, self._prefix, targets)
             if fast is not None:
                 return fast
         return _plateau_quantile_offsets(proj, self.weights, targets)
@@ -527,27 +533,33 @@ def _check_direction(u, d):
     return u
 
 
-def _uniform_quantile_offsets(proj, weights, targets):
-    """Order-statistics shortcut for equal weights; None if the cut lands
-    in a run of tied values (caller falls back to the plateau path).
+def _closest_cuts(cdf, targets):
+    """For each target, the number c of plateaus below its cut, cdf being
+    the plateaus' cumulative masses: of the last cut whose mass below (0
+    at c = 0, else cdf[c-1]) is under the target and the first at or
+    above it, the closer, the lower on ties."""
+    cuts = []
+    # cdf[c-1] < t <= cdf[c]; for a cut's few targets, scalar steps cost
+    # less than array ones
+    for t, c in zip(targets, np.searchsorted(cdf, targets).tolist()):
+        if c < len(cdf) and t - (cdf[c - 1] if c else 0.0) > cdf[c] - t:
+            c += 1
+        cuts.append(c)
+    return cuts
 
-    With s = sorted(proj), target rank k takes the midpoint of s[k-1] and
-    s[k], unless s[k-2] == s[k-1] or s[k] == s[k+1]: a tie adjacent to
-    the cut makes the plateau CDF differ. Target t has rank ceil(t n - 1/2);
-    halfway, at t n = k + 1/2, the plateau path's own comparison of the
-    prefix sums cw decides between k and k + 1."""
-    n = len(proj)
-    ks = []
-    for t in targets:
-        frac = t * n - 0.5
-        k = int(np.ceil(frac))
-        if frac == k:
-            cw = np.cumsum(weights[:k + 1])
-            if not (k >= 1 and t - cw[k - 1] <= cw[k] - t):
-                k += 1
-        if not 1 <= k <= n - 1:
-            return None
-        ks.append(k)
+
+def _uniform_quantile_offsets(proj, prefix, targets):
+    """Order-statistics shortcut for equal weights, whose prefix sums are
+    prefix; None if a cut lies outside the points or next to a run of
+    tied values (caller falls back to the plateau path).
+
+    With s = sorted(proj), each point is a plateau unless tied, so a
+    target's rank k is its _closest_cuts against prefix, and k takes the
+    midpoint of s[k-1] and s[k], unless s[k-2] == s[k-1] or s[k] ==
+    s[k+1]: a tie adjacent to the cut makes the plateau CDF differ."""
+    ks = _closest_cuts(prefix, targets)
+    if min(ks) < 1 or max(ks) >= len(proj):
+        return None
     mids = {}
     if not _order_stats(proj.copy(), sorted(set(ks)), 0, None, mids):
         return None
@@ -587,24 +599,13 @@ def _plateau_quantile_offsets(proj, weights, targets):
     sp = proj[order]
     cw = np.cumsum(weights[order])
     run_end = np.nonzero(sp[1:] != sp[:-1])[0]
-    first = np.concatenate(([0], run_end + 1))
     last = np.concatenate((run_end, [len(sp) - 1]))
-    vals = sp[first]
-    # CDF plateau values: cumulative weight through the last tie of each value
-    cdf = cw[last]
-    offsets = []
-    for t in targets:
-        j = int(np.searchsorted(cdf, t, side="left"))
-        # plateau j-1 has cdf < t, plateau j has cdf >= t; pick the closer
-        err_hi = cdf[j] - t if j < len(vals) else 1.0 - t
-        err_lo = t - (cdf[j - 1] if j > 0 else 0.0)
-        if j > 0 and err_lo <= err_hi:
-            j -= 1
-        if j >= len(vals) - 1:
-            offsets.append(float(vals[-1]) + 1.0)
-        else:
-            offsets.append(0.5 * (float(vals[j]) + float(vals[j + 1])))
-    return np.asarray(offsets)
+    vals = sp[last]  # the plateaus; cw[last] is the mass through each
+    # the cut above c plateaus lies 1 below the lowest at c = 0, 1 above
+    # the highest at the last c, else midway between two plateaus
+    cuts = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]),
+                           [vals[-1] + 1.0]))
+    return cuts[_closest_cuts(cw[last], targets)]
 
 
 class ProjectedGridCDF:

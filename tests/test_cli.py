@@ -70,6 +70,12 @@ def test_min_d(capsys):
     assert code == 0 and out.strip() == "16"
 
 
+def test_min_d_json(capsys):
+    code, out, _ = run(capsys, "min-d", "--m", "3", "--l", "14", "--json")
+    assert code == 0
+    assert out == '{"d": 16, "l": 14, "m": 3, "schema": "equibox/1"}\n'
+
+
 def test_min_d_m6_past_the_expansion_wall(capsys):
     # the full criterion for (6, 10) has 16M terms; the search never builds it
     code, out, _ = run(capsys, "min-d", "--m", "6", "--l", "10")
@@ -82,6 +88,15 @@ def test_table_markdown(capsys):
     assert code == 0
     assert lines[2:] == ["| 2 | 4 |", "| 3 | 7 |", "| 4 | 7 |",
                          "| 5 | 8 |", "| 6 | 8 |"]
+
+
+def test_table_markdown_ends_with_the_m2_note(capsys):
+    code, out, _ = run(capsys, "table", "--m", "2", "--l-max", "3")
+    assert code == 0
+    assert out.splitlines()[-4:] == [
+        "| 2 | 2 |", "| 3 | 3 |", "",
+        "note: even counts 2k reach the same minimal dimension as 2k-1, "
+        "so the even case gives more boxes in the same space"]
 
 
 def test_table_csv_and_json(capsys):
@@ -580,6 +595,53 @@ def test_verify_nonfinite_config_is_error(tmp_path, capsys, u, offset):
                          "--config", str(config_path), "--tol", "1e-3")
     assert code == 1 and out == ""
     assert err == "error: configuration values must be finite\n"
+
+
+_GRID = {"dim": 2, "origin": [0, 0], "spacing": [0.5, 0.5], "shape": [2, 2],
+         "data": [1, 2, 3, 4]}  # _small_grid's, varied one field at a time
+_CONFIG = {"u": [1, 0], "extra_dirs": [[0, 1]], "parallel_offsets": [0.5],
+           "extra_offsets": [0.5]}
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("solve", "{dim: 2", "invalid JSON"),
+    ("solve", dict(_GRID, shape=[2, 2, 1]), "shape rank disagrees with dim"),
+    ("solve", dict(_GRID, origin=[0]), "origin/spacing must match"),
+    ("solve", dict(_GRID, spacing=[0.5, 0]), "spacing must be positive"),
+    ("solve", dict(_GRID, data=[1, -2, 3, 4]), "densities must be finite"),
+    ("solve", dict(_GRID, data=[0, 0, 0, 0]), "total mass must be positive"),
+    ("solve", dict(_GRID, data=[1, 2, 3]), "cannot reshape"),
+    ("solve", dict(_GRID, dim="two"), "bad grid JSON"),
+    ("gen-measure", None, "cell-count guard"),
+    ("verify", dict(_CONFIG, u=[1, 0, 0], extra_dirs=[[0, 1, 0]]),
+     "configuration dimension does not match measure"),
+    ("verify", dict(_CONFIG, extra_dirs=[0, 1]), "extra_dirs must be"),
+    ("verify", dict(_CONFIG, u=[1, 1]), "unit length"),
+], ids=["not-json", "shape-rank", "origin-length", "zero-spacing",
+        "negative-density", "zero-mass", "data-length", "dim-not-a-number",
+        "gen-grid-too-large", "verify-wrong-dimension",
+        "verify-extra-dirs-shape", "verify-non-unit"])
+def test_outside_input_refusal_is_one_line(tmp_path, capsys, command, content,
+                                           message):
+    out_path = tmp_path / "r.out"
+    text = content if isinstance(content, str) else json.dumps(content)
+    if command == "solve":
+        measure = tmp_path / "g.json"
+        measure.write_text(text)
+        argv = ("--input", str(measure), "--l", "1", "--m", "2",
+                "--out", str(out_path))
+    elif command == "verify":
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        argv = ("--input", str(_small_grid(tmp_path)), "--config",
+                str(config), "--tol", "0.1")
+    else:
+        argv = ("--d", "3", "--grid-cells", "300", "--out", str(out_path))
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+    assert not out_path.exists()
 
 
 def test_cli_import_leaves_numerical_stack_unloaded():

@@ -728,7 +728,7 @@ def _assert_same_offsets(proj, l):
     targets = [(i + 1) / (l + 1) for i in range(l)]
     weights = np.full(n, 1.0 / n)
     before = proj.copy()
-    got = _uniform_quantile_offsets(proj, weights, targets)
+    got = _uniform_quantile_offsets(proj, np.cumsum(weights), targets)
     assert np.array_equal(proj, before)  # direction_cut reuses proj
     if got is not None:  # a shortcut of the plateau path, never another rule
         assert np.array_equal(
@@ -769,6 +769,20 @@ def test_odd_count_median_stays_on_order_statistics(n, l):
     assert _assert_same_offsets(proj, l) is not None
 
 
+@pytest.mark.parametrize("n,l", [(21, 13), (42, 27), (49, 13)])
+def test_shortcut_keeps_the_plateau_rank_where_rounding_misses_halfway(n, l):
+    # t = 9/14 (n = 21, 49), 9/28 and 17/28 (n = 42) put t n at k + 1/2,
+    # but the rounded t times n misses it: both paths still rank t by the
+    # prefix sums
+    proj = np.random.default_rng(n).standard_normal(n)
+    targets = [(i + 1) / (l + 1) for i in range(l)]
+    weights = np.full(n, 1.0 / n)
+    got = _uniform_quantile_offsets(proj, np.cumsum(weights), targets)
+    assert got is not None
+    assert np.array_equal(got, _plateau_quantile_offsets(proj, weights,
+                                                         targets))
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 300])
 def test_cloud_membership_is_left_searchsorted(k):
     # points exactly on an offset, twice on repeated offsets, go below it
@@ -795,7 +809,7 @@ def test_direction_cut_is_independent_of_point_order(points):
     shuffled = PointCloud(pts[perm], np.ones(len(pts)))
     u = np.array([1.0, 0.0, 0.0])  # on the tied cloud, the plateau path
     _, extra = _random_config(rng, 3, 3, 3)
-    fast = _uniform_quantile_offsets(base.points @ u, base.weights,
+    fast = _uniform_quantile_offsets(base.points @ u, np.cumsum(base.weights),
                                      [0.25, 0.5, 0.75])
     assert (fast is None) == (points == "tied")
 
@@ -827,6 +841,35 @@ def test_equivariance_flip_parallel_direction():
     fwd = box_mass_tensor(pc, solver_test_map(pc, u, extra, 2).config)
     rev = box_mass_tensor(pc, solver_test_map(pc, -u, extra, 2).config)
     assert np.allclose(rev, fwd[::-1, :], atol=1e-12)
+
+
+def _slab_masses(measure, u, l):
+    return np.bincount(direction_cut(measure, u, l)[1],
+                       weights=measure.weights, minlength=l + 1)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_cut_of_a_tied_lowest_plateau_is_equivariant(l):
+    # 60 of 100 equal weights tie at the lowest value: a target nearer 0
+    # than 0.6 cuts below them along u, as it cuts above them along -u
+    xs = np.concatenate([np.zeros(60), np.arange(1.0, 41.0)])
+    pc = PointCloud(np.column_stack([xs, np.linspace(-1, 1, 100)]),
+                    np.ones(100))
+    u = np.array([1.0, 0.0])
+    fwd = _slab_masses(pc, u, l)
+    assert np.allclose(_slab_masses(pc, -u, l)[::-1], fwd, atol=1e-12)
+    if l == 3:
+        assert np.allclose(fwd, [0, 0.6, 0.15, 0.25], atol=1e-12)
+
+
+def test_plateau_cuts_reach_past_both_end_plateaus():
+    # the closest cut to a target may hold every point on one side: it
+    # lies 1 below the lowest or 1 above the highest plateau
+    xs = [[0.0], [1.0], [2.0]]
+    low = direction_quantiles(PointCloud(xs, [0.9, 0.05, 0.05]), [1.0], 9)
+    assert np.array_equal(low, [-1.0] * 4 + [0.5] * 5)
+    high = direction_quantiles(PointCloud(xs, [0.05, 0.05, 0.9]), [1.0], 9)
+    assert np.array_equal(high, [1.5] * 5 + [3.0] * 4)
 
 
 def test_equivariance_flip_extra_direction():

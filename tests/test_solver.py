@@ -29,6 +29,7 @@ from equibox.solver import (
     _check_cut_size,
     _cut_memo,
     _angles,
+    _better,
     _directions,
     _is_collinear,
     minimize,
@@ -437,6 +438,24 @@ def test_report_holds_the_best_of_every_evaluation(monkeypatch, make_measure,
     assert rep.config.to_dict() == best.config.to_dict()
     assert rep.residual_l2 == best.residual_l2
     assert rep.residual_max == best.residual_max
+
+
+def _candidate(residual_l2, degenerate):
+    return (solver.DeviationTensor(values=None, config=None, residual_max=0.0,
+                                   residual_l2=residual_l2), degenerate)
+
+
+def test_better_orders_candidates():
+    # a degenerate (collinear) candidate wins only over none
+    assert _better(_candidate(0.0, True), None)
+    assert not _better(_candidate(0.0, True), _candidate(5.0, False))
+    assert not _better(_candidate(0.0, True), _candidate(5.0, True))
+    # a non-degenerate one beats a degenerate best at any residual_l2
+    assert _better(_candidate(9.0, False), _candidate(1.0, True))
+    # among non-degenerate ones the lower residual_l2, the earlier on ties
+    assert _better(_candidate(0.5, False), _candidate(1.0, False))
+    assert not _better(_candidate(1.0, False), _candidate(1.0, False))
+    assert not _better(_candidate(2.0, False), _candidate(1.0, False))
 
 
 def test_solve_uncertified_regime_marked():
