@@ -26,15 +26,18 @@ whose mass below is closest to it, the lower on ties. So the slabs along
 two cuts), and with distinct projections the per-slab mass error is
 bounded by the largest single weight. With equal weights each point is
 its own plateau, so the rule ranks the targets against the prefix sums
-of the weights, which the cloud keeps, and when no tie is next to a cut
-the offsets come from order statistics: the middle target's rank is
-found by one single-kth selection (np.partition with one kth), its
-neighbours by a max and a min of the two parts, and the other targets
-recurse into the part on their side (_order_stats), O(N log l) in all.
-Otherwise the plateau path sorts the projections. A point's membership
-is its slab index, the number of offsets strictly below it, one
-comparison per offset (for a single hyperplane, its side 0 or 1);
-combine sums the weights per box with one bincount.
+of the weights, which the cloud keeps, and the offsets come from order
+statistics: the middle target's rank is found by one single-kth
+selection (np.partition with one kth), the value below it by a max of
+the lower part, and the other targets recurse into the part on their
+side (_order_stats), O(N log l) in all. Only a cut between two tied
+values falls back to the plateau path, which sorts the projections: the
+plateau cuts are a subset of the per-point cuts, with the same masses
+below, so a per-point choice that is a plateau cut is the plateau
+path's choice too. A point's membership is its slab index, the number
+of offsets strictly below it, one comparison per offset (for a single
+hyperplane, its side 0 or 1); combine sums the weights per box with one
+bincount.
 
 GridDensity: along a direction w, each cell's mass is spread uniformly
 over its projected interval c.w +- |w|.h / 2, and the projection is the
@@ -527,7 +530,8 @@ class Configuration:
 def _check_direction(u, d):
     u = np.asarray(u, dtype=float)
     if u.shape != (d,):
-        raise ValueError("direction has dimension %d, measure has %d" % (u.shape[0], d))
+        raise ValueError("direction must have shape (%d,), got shape %s"
+                         % (d, u.shape))
     if np.linalg.norm(u) < 1e-15:
         raise ValueError("degenerate (zero) direction")
     return u
@@ -550,13 +554,14 @@ def _closest_cuts(cdf, targets):
 
 def _uniform_quantile_offsets(proj, prefix, targets):
     """Order-statistics shortcut for equal weights, whose prefix sums are
-    prefix; None if a cut lies outside the points or next to a run of
-    tied values (caller falls back to the plateau path).
+    prefix; None if a cut lies outside the points or between two tied
+    values (caller falls back to the plateau path).
 
-    With s = sorted(proj), each point is a plateau unless tied, so a
-    target's rank k is its _closest_cuts against prefix, and k takes the
-    midpoint of s[k-1] and s[k], unless s[k-2] == s[k-1] or s[k] ==
-    s[k+1]: a tie adjacent to the cut makes the plateau CDF differ."""
+    With s = sorted(proj), a target's rank k is its _closest_cuts against
+    prefix, and k takes the midpoint of s[k-1] and s[k]. The plateau
+    CDF's cuts are the k with s[k-1] < s[k], each with the same mass below
+    (a cumsum of equal weights does not depend on their order), so a
+    closest k with s[k-1] < s[k] is the plateau path's closest cut too."""
     ks = _closest_cuts(prefix, targets)
     if min(ks) < 1 or max(ks) >= len(proj):
         return None
@@ -568,24 +573,19 @@ def _uniform_quantile_offsets(proj, prefix, targets):
 
 def _order_stats(a, ks, base, below, out):
     """Store the midpoint of s[k-1] and s[k] in out[k] for every rank k in
-    ks, one single-kth selection (quickselect) per rank; False, leaving out
-    incomplete, as soon as some k has s[k-1] == s[k], s[k-2] == s[k-1] or
-    s[k] == s[k+1].
+    ks, one single-kth selection (quickselect) and one max per rank; False,
+    leaving out incomplete, as soon as some k has s[k-1] == s[k].
 
     a holds s[base:base+len(a)] in any order and is partitioned in place;
     ks is sorted, with base <= k < base + len(a), and below is s[base-1].
     The middle rank splits a, and the ranks on each side recurse into
-    their part, O(len(a) log len(ks)) in all. A tie across an end of a
-    part needs no look past it: the pivot s[p] at that end was already
-    checked against s[p-1] and s[p+1]."""
+    their part, O(len(a) log len(ks)) in all."""
     mid = len(ks) // 2
     k = ks[mid] - base
     a.partition(k)
     hi = a[k]
     lo = a[:k].max() if k else below
-    if (lo == hi
-            or k >= 2 and np.count_nonzero(a[:k] == lo) >= 2
-            or k + 1 < len(a) and a[k + 1:].min() == hi):
+    if lo == hi:
         return False
     out[base + k] = 0.5 * (float(lo) + float(hi))
     return ((mid == 0 or _order_stats(a[:k], ks[:mid], base, below, out))

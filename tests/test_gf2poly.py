@@ -317,3 +317,23 @@ def test_constructor_rejects_duplicates_and_bad_width():
     with pytest.raises(VariableMismatchError):
         PolyGF2(2, [(1, 2, 3)])
 
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyGF2(0, []), ValueError, "at least one variable"),
+    (lambda: setattr(PolyGF2.one(2), "nvars", 3), AttributeError, "immutable"),
+    (lambda: PolyGF2.linear_form(2, [2]), ValueError, "index 2 out of range"),
+    (lambda: PolyGF2.one(2) + 1, TypeError, "unsupported operand"),
+    (lambda: PolyGF2.one(2) * 1, TypeError, "unsupported operand"),
+], ids=["no-variables", "setattr", "form-index", "add-int", "mul-int"])
+def test_api_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_equal_polynomials_print_and_hash_alike():
+    x, y = xyz(2)
+    a, b = x * y + PolyGF2.one(2), P(2, (0, 0), (1, 1))
+    assert (repr(a), str(a), hash(a)) == (repr(b), str(b), hash(b))
+    assert repr(a) == "PolyGF2(2, x1*x2+1)" and str(a) == "x1*x2+1"
+    assert (PolyGF2.one(2) == 1) is False
+    assert PolyGF2(2).total_degree() == -1 and a.total_degree() == 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equibox import measures
 from equibox.measures import (
     GRID_QUANTILE_TOL,
     Configuration,
@@ -213,6 +214,12 @@ def test_grid_with_non_finite_geometry_is_refused(tmp_path, origin, spacing):
 def test_cloud_without_points_or_coordinates_is_refused(shape):
     with pytest.raises(MeasureFormatError, match="nonempty N x d"):
         PointCloud(np.zeros(shape), np.ones(shape[0]))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_cloud_needs_one_weight_per_point(count):
+    with pytest.raises(MeasureFormatError, match="one weight per point"):
+        PointCloud(np.zeros((3, 2)), np.ones(count))
 
 
 @pytest.mark.parametrize("kind", ["cloud", "grid"])
@@ -492,10 +499,17 @@ def _grid_membership_reference(grid, u, offsets):
     return np.diff(below, axis=0, prepend=0.0, append=1.0)
 
 
-def test_degenerate_direction_rejected():
+@pytest.mark.parametrize("u, k, message", [
+    (np.zeros(2), 1, "degenerate"),
+    (5.0, 1, r"shape \(2,\), got shape \(\)"),
+    ([[1, 0]], 1, r"shape \(2,\), got shape \(1, 2\)"),
+    ([1, 0, 0], 1, r"shape \(2,\), got shape \(3,\)"),
+    ([1, 0], 0, "l must be >= 1"),
+], ids=["zero", "scalar", "row", "too-long", "no-offsets"])
+def test_degenerate_direction_rejected(u, k, message):
     pc = PointCloud(np.zeros((3, 2)), np.ones(3))
-    with pytest.raises(ValueError):
-        direction_quantiles(pc, np.zeros(2), 1)
+    with pytest.raises(ValueError, match=message):
+        direction_quantiles(pc, u, k)
 
 
 # -- box tensors -----------------------------------------------------------------
@@ -698,26 +712,16 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
 
 def _uniform_quantile_offsets_multi_kth(proj, targets):
     n = len(proj)
-    ks = []
-    kths = set()
-    for t in targets:
-        frac = t * n - 0.5
-        if frac == np.floor(frac):
-            return None
-        k = int(np.ceil(frac))
-        if not 1 <= k <= n - 1:
-            return None
-        ks.append(k)
-        kths.update(i for i in (k - 2, k - 1, k, k + 1) if 0 <= i < n)
-    part = np.partition(proj, sorted(kths))
+    # mass below the cut of rank k; argmin keeps the lower rank on ties
+    below = np.concatenate(([0.0], np.cumsum(np.full(n, 1 / n))))
+    ks = [int(np.argmin(np.abs(below - t))) for t in targets]
+    if not all(1 <= k <= n - 1 for k in ks):
+        return None
+    part = np.partition(proj, sorted({i for k in ks for i in (k - 1, k)}))
     offsets = []
     for k in ks:
         lo, hi = float(part[k - 1]), float(part[k])
         if lo == hi:
-            return None
-        if (k >= 2 and part[k - 2] == part[k - 1]) or (
-            k + 1 < n and part[k] == part[k + 1]
-        ):
             return None
         offsets.append(0.5 * (lo + hi))
     return np.asarray(offsets)
@@ -733,21 +737,17 @@ def _assert_same_offsets(proj, l):
     if got is not None:  # a shortcut of the plateau path, never another rule
         assert np.array_equal(
             got, _plateau_quantile_offsets(proj, weights, targets))
-    # the reference gives up at a halfway target, t n = k + 1/2, which
-    # the shortcut now decides by the plateau path's own comparison
     want = _uniform_quantile_offsets_multi_kth(proj, targets)
-    halfway = any(t * n - 0.5 == np.floor(t * n - 0.5) for t in targets)
+    assert (got is None) == (want is None)
     if want is not None:
-        assert got is not None and np.array_equal(got, want)
-    elif not halfway:
-        assert got is None
+        assert np.array_equal(got, want)
     return got
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 120).flatmap(
-    lambda span: st.lists(st.integers(0, span), min_size=1, max_size=60)),
-    st.integers(1, 12))
+    lambda span: st.lists(st.integers(0, span), min_size=1, max_size=100)),
+    st.integers(1, 30))
 def test_uniform_quantiles_match_multi_kth_reference(values, l):
     # small integer spans tie often, next to the cut and across it;
     # l + 1 > n puts several targets on one rank or on adjacent ranks
@@ -772,15 +772,30 @@ def test_odd_count_median_stays_on_order_statistics(n, l):
 @pytest.mark.parametrize("n,l", [(21, 13), (42, 27), (49, 13)])
 def test_shortcut_keeps_the_plateau_rank_where_rounding_misses_halfway(n, l):
     # t = 9/14 (n = 21, 49), 9/28 and 17/28 (n = 42) put t n at k + 1/2,
-    # but the rounded t times n misses it: both paths still rank t by the
-    # prefix sums
+    # but the rounded t times n misses it: both paths and the reference
+    # still rank t by the prefix sums
     proj = np.random.default_rng(n).standard_normal(n)
-    targets = [(i + 1) / (l + 1) for i in range(l)]
-    weights = np.full(n, 1.0 / n)
-    got = _uniform_quantile_offsets(proj, np.cumsum(weights), targets)
-    assert got is not None
-    assert np.array_equal(got, _plateau_quantile_offsets(proj, weights,
-                                                         targets))
+    assert _assert_same_offsets(proj, l) is not None
+
+
+@pytest.mark.parametrize("values, offset", [
+    ([0, 1, 1, 2, 3, 4], 1.5),  # a tie just below the cut
+    ([0, 1, 2, 3, 3, 4], 2.5),  # a tie just above it
+], ids=["tie-below", "tie-above"])
+def test_tie_next_to_a_cut_stays_on_order_statistics(monkeypatch, values,
+                                                      offset):
+    # only a tie across the cut changes the plateau CDF's choice
+    pc = PointCloud(np.asarray(values, dtype=float)[:, None],
+                    np.ones(len(values)))
+    proj = pc.points[:, 0]
+    assert _plateau_quantile_offsets(proj, pc.weights, [0.5]).tolist() == [
+        offset]
+
+    def sorts(*args):
+        raise AssertionError("fell back to the plateau path")
+
+    monkeypatch.setattr(measures, "_plateau_quantile_offsets", sorts)
+    assert direction_cut(pc, np.array([1.0]), 1)[0].tolist() == [offset]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 300])
