@@ -43,7 +43,7 @@ from equibox.dickson import MAX_VARS, dickson_moore
 # unused here since the criterion is built from the Moore form; the name
 # stays bound because perfbench's traced run patches certifier.dickson_product
 from equibox.dickson import dickson_product  # noqa: F401
-from equibox.gf2poly import EXP_MAX, PolyGF2, _grlex_key
+from equibox.gf2poly import EXP_MAX, PolyGF2, unpack_key
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -92,16 +92,18 @@ def _quotient_power(m):
     return dickson_moore(m).divide_by_monomial((1,) + (0,) * (m - 1))
 
 
-def _check_l(m, l):
-    """Validate (m, l); refuse an l whose criterion exponents would pass
-    EXP_MAX, naming the largest allowed l."""
-    PartitionProblem(m, l)
+def _check_l(m, l, d=None):
+    """The PartitionProblem(m, l, d), which validates m, l and d; also
+    refuse an l whose criterion exponents would pass EXP_MAX, naming the
+    largest allowed l."""
+    problem = PartitionProblem(m, l, d)
     # exponents of (P_m/x1)^j reach j * 2^(m-1), and l needs j <= l//2 + 1
     l_limit = 2 * (EXP_MAX >> (m - 1)) - 1
     if l > l_limit:
         raise ValueError(
             "l=%d is too large for m=%d: the criterion's exponents would "
             "exceed %d; the largest l is %d" % (l, m, EXP_MAX, l_limit))
+    return problem
 
 
 def _rest(m):
@@ -145,9 +147,9 @@ def criterion_factors(m, l):
 
 
 def _joined(m, slices):
-    """The polynomial whose terms are those of the slices; slices share no
-    term (PolyGF2._slices)."""
-    return PolyGF2._from_keys(m, [k for piece in slices for k in piece._keys])
+    """The polynomial whose terms are those of the slices, each a list of
+    keys; slices share no term (PolyGF2._slices)."""
+    return PolyGF2._from_keys(m, [k for piece in slices for k in piece])
 
 
 def certify(m, l, d):
@@ -161,18 +163,19 @@ def certify(m, l, d):
     exponent <= d-1, it is the witness and nothing is built; otherwise
     the witness is the lex-least term of the first slice of the terms
     with all exponents <= d-1 (_Truncation.slices), and no later slice is
-    built.
+    built. A slice is a list of packed keys; its terms all have the
+    criterion's degree, so the least unpacked exponent tuple is the
+    graded-lex least term as well.
     INCONCLUSIVE asserts nothing. The note is set when the degree alone
     leaves no such term: a term with every exponent <= d-1 has degree at
     most m(d-1).
     """
-    problem = PartitionProblem(m, l, d)
-    _check_l(m, l)
+    problem = _check_l(m, l, d)
     trunc = _Truncation(m)
     witness = trunc.least_term(l)
     if max(witness) > d - 1:
         first = next(trunc.slices(l, d), None)
-        witness = min(first.term_tuples(), key=_grlex_key) if first else None
+        witness = min(unpack_key(k, m) for k in first) if first else None
     note = ""
     degree = _criterion_degree(m, l)
     if m * (d - 1) < degree:
@@ -233,10 +236,10 @@ class _Truncation:
 
     def slices(self, l, d):
         """The terms of criterion_polynomial(m, l) with every exponent
-        <= d-1, one slice at a time: each slice holds the terms that share
-        their x1 and x2 exponents, in ascending lex order of that pair
-        (PolyGF2._slices of the last product). The powers it multiplies
-        stay whole and memoized.
+        <= d-1, one slice at a time: each slice is the list of the keys of
+        the terms that share their x1 and x2 exponents, in ascending lex
+        order of that pair (PolyGF2._slices of the last product). The
+        powers it multiplies stay whole and memoized.
 
         Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
         Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm), sliced as

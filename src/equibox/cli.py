@@ -189,14 +189,22 @@ def _cmd_decompose(args):
 def _cmd_gen_measure(args):
     from equibox import measures
 
-    if args.grid_cells is not None:
-        grid = measures.gaussian_mixture_grid(args.d, args.components,
-                                              args.grid_cells, args.seed)
-        measures.write_grid_json(args.out, grid)
+    grid = args.grid_cells is not None
+    if grid:
+        measure = measures.gaussian_mixture_grid(args.d, args.components,
+                                                 args.grid_cells, args.seed)
     else:
-        cloud = measures.gaussian_mixture_cloud(args.d, args.components,
-                                                args.n, args.seed)
-        measures.write_cloud_csv(args.out, cloud)
+        measure = measures.gaussian_mixture_cloud(args.d, args.components,
+                                                  args.n, args.seed)
+    # after the generator's own checks, so that their refusals come first;
+    # solve reads the file by the same naming rule (measures.names_cloud)
+    if measures.names_cloud(args.out) == grid:
+        kind, rule = (("grid JSON", "must not end") if grid
+                      else ("point-cloud CSV", "must end"))
+        raise ValueError("--out %r: the name of a %s %s in .csv"
+                         % (args.out, kind, rule))
+    (measures.write_grid_json if grid else measures.write_cloud_csv)(
+        args.out, measure)
     print("wrote %s" % args.out)
     return 0
 

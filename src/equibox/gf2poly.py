@@ -148,13 +148,14 @@ class PolyGF2:
 
     @classmethod
     def linear_form(cls, nvars, indices):
-        """Sum of the variables at the given 0-based indices."""
+        """Sum of the variables at the given 0-based indices, over GF(2): a
+        repeated index toggles its variable, so a pair cancels."""
         keys = set()
         for i in indices:
             if not 0 <= i < nvars:
                 raise ValueError("variable index %d out of range" % i)
-            keys.add(1 << (EXP_BITS * i))
-        return cls._from_keys(nvars, frozenset(keys))
+            keys ^= {1 << (EXP_BITS * i)}
+        return cls._from_keys(nvars, keys)
 
     # -- views ---------------------------------------------------------
 
@@ -229,10 +230,12 @@ class PolyGF2:
 
     def _slices(self, other, caps):
         """The terms of self * other whose exponent of each variable i is
-        <= caps[i], one slice at a time: a slice is the polynomial of the
-        terms that share their x1 and x2 exponents, and the slices come in
-        ascending lex order of that pair, empty ones skipped. Needs at
-        least two variables.
+        <= caps[i], one slice at a time: a slice is the list of the keys of
+        the terms that share their x1 and x2 exponents, and the slices come
+        in ascending lex order of that pair, empty ones skipped. Needs at
+        least two variables. A slice is handed out as its keys because its
+        consumers only join slices (certifier._joined) or read one slice's
+        terms (certifier.certify).
 
         Both operands are grouped by the x1 and x2 fields of their keys
         (the low 2 * EXP_BITS bits); a slice is the GF(2) sum of the
@@ -263,7 +266,7 @@ class PolyGF2:
                 _toggle_sums(out, a, b)
             kept = [k for k in out if not (k ^ o ^ (k + o)) & mask]
             if kept:
-                yield PolyGF2._from_keys(self.nvars, kept)
+                yield kept
 
     def _squared(self):
         # char 2: (sum m_i)^2 = sum m_i^2, so squaring doubles exponents

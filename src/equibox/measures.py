@@ -17,16 +17,26 @@ Boundary convention for point clouds: a point exactly on a hyperplane
 counts toward the lower slab / the 0 side. Ties are measure-zero for
 generic data; the convention just makes reruns reproducible.
 
+Files: a name that ends in .csv holds a point cloud and any other name a
+grid JSON (names_cloud), for reading and for the CLI's gen-measure. A CSV
+is parsed in one pass; a refused row is named by its file line, counted
+as numpy takes the lines (_load_cloud_csv).
+
 PointCloud: the projection is p.w. The step CDF generally has no exact
 quantile. Its plateaus are the distinct projected values, and a cut lies
 midway between two of them, or 1 below the lowest or 1 above the
 highest. One rule picks the cut for a target (_closest_cuts): the cut
-whose mass below is closest to it, the lower on ties. So the slabs along
--u are those along u reversed (but where a target lies halfway between
-two cuts), and with distinct projections the per-slab mass error is
-bounded by the largest single weight. With equal weights each point is
-its own plateau, so the rule ranks the targets against the prefix sums
-of the weights, which the cloud keeps, and the offsets come from order
+whose mass below is closest to it, the lower on ties. With distinct
+projections the per-slab mass error is bounded by the largest single
+weight. The slabs along -u are those along u reversed, but where a
+target lies halfway between two cuts: the lower cut is taken both ways,
+so the cut along -u sits one plateau past the mirror of the cut along u.
+With distinct projections that plateau is one point, so a slab and its
+mirror differ by at most the largest weight per cut so tied (one point
+per slab at l = 1), below the solver's tolerance floor of 3 * max
+weight. With equal weights each point is its own plateau, so the rule
+ranks the targets against the prefix sums of the weights, which the
+cloud keeps, and the offsets come from order
 statistics: the middle target's rank is found by one single-kth
 selection (np.partition with one kth), the value below it by a max of
 the lower part, and the other targets recurse into the part on their
@@ -63,7 +73,6 @@ the rest. box_mass_tensor takes the membership and combine steps with a
 configuration's given offsets.
 """
 
-import contextlib
 import itertools
 import json
 import warnings
@@ -281,16 +290,27 @@ def rho(l, m):
 # -- file formats --------------------------------------------------------
 
 
+def names_cloud(path):
+    """True iff path names a point-cloud CSV, a name that ends in .csv; any
+    other name holds a grid JSON. load_measure reads by this rule, and the
+    CLI's gen-measure writes by it."""
+    return str(path).endswith(".csv")
+
+
 def load_measure(path):
-    """Read a measure file: a point cloud CSV if the name ends in .csv,
-    else a grid JSON."""
-    path = str(path)
-    if path.endswith(".csv"):
+    """Read a measure file: a point cloud CSV if names_cloud(path), else a
+    grid JSON."""
+    if names_cloud(path):
         return _load_cloud_csv(path)
     return _load_grid_json(path)
 
 
 def _load_cloud_csv(path):
+    """One pass over the file: numpy reads the rows from an iterator that
+    counts the lines it hands out, the header being line 1. numpy takes
+    one line at a time and stops at the row it refuses, so the count names
+    that row's file line (for a row whose quoted field spans lines, its
+    last line); numpy's own row count skips the header and blank lines."""
     # numpy warns of a file with no rows, which is refused below instead
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -303,13 +323,14 @@ def _load_cloud_csv(path):
             raise MeasureFormatError(
                 "CSV header must be x1,...,xd,w; got %r" % (header,)
             )
+        taken = itertools.count(2)
         try:
-            data = _csv_rows(fh)
+            data = _csv_rows(line for line, _ in zip(fh, taken))
         except ValueError as exc:
             # numpy's message ends in its own row count, not the file line
             reason = str(exc).partition(" at row ")[0]
             raise MeasureFormatError("bad CSV line %d: %s"
-                                     % (_first_bad_line(fh), reason)) from None
+                                     % (next(taken) - 1, reason)) from None
     if len(data) == 0:
         raise MeasureFormatError("CSV contains no points")
     if data.shape[1] != d + 1:
@@ -322,22 +343,6 @@ def _csv_rows(lines):
     # blank lines are skipped, fields may be padded or quoted, '#' is data
     return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
                       ndmin=2)
-
-
-def _first_bad_line(fh):
-    """The file line of the first row that numpy refuses, the header
-    being line 1; numpy's own row count skips the header and blank lines.
-
-    Read again from an iterator of lines, numpy takes one line at a time
-    and stops at that row, so the count of lines taken names it (for a
-    row whose quoted field spans lines, its last line).
-    """
-    fh.seek(0)
-    next(fh)  # the header
-    taken = itertools.count(2)
-    with contextlib.suppress(ValueError):
-        _csv_rows(line for line, _ in zip(fh, taken))
-    return next(taken) - 1
 
 
 def write_cloud_csv(path, cloud):
@@ -541,7 +546,12 @@ def _closest_cuts(cdf, targets):
     """For each target, the number c of plateaus below its cut, cdf being
     the plateaus' cumulative masses: of the last cut whose mass below (0
     at c = 0, else cdf[c-1]) is under the target and the first at or
-    above it, the closer, the lower on ties."""
+    above it, the closer, the lower on ties.
+
+    The lower on ties is not mirror-symmetric: at a target halfway between
+    two cuts, the cut along -u sits one plateau past the mirror of the cut
+    along u. With distinct projections that moves one point, at most the
+    largest weight, below the solver's 3 * max weight tolerance floor."""
     cuts = []
     # cdf[c-1] < t <= cdf[c]; for a cut's few targets, scalar steps cost
     # less than array ones

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import eq
 
-from equibox.dickson import MAX_VARS, forms_product
+from equibox.certifier import PartitionProblem
+from equibox.dickson import forms_product
 from equibox.gf2poly import PolyGF2
 
 # bound on constraint rows x boxes, the entries that dense rows would take.
@@ -95,11 +96,11 @@ def _constraint_entries(m, l):
 
 
 def build_test_representation(m, l):
-    """ActionSpec for l parallel hyperplanes and m-1 single ones."""
-    if not 2 <= m <= MAX_VARS:
-        raise ValueError("m must be in [2, %d], got %r" % (MAX_VARS, m))
-    if l < 1:
-        raise ValueError("l must be >= 1, got %r" % (l,))
+    """ActionSpec for l parallel hyperplanes and m-1 single ones.
+
+    certifier.PartitionProblem refuses an m outside [2, MAX_VARS] or an
+    l < 1, with the certifier's messages, before the size guard."""
+    PartitionProblem(m, l)
     if _constraint_entries(m, l) > MAX_CONSTRAINT_ENTRIES:
         largest = 0
         while _constraint_entries(m, largest + 1) <= MAX_CONSTRAINT_ENTRIES:

@@ -378,7 +378,8 @@ def test_truncated_criterion_is_the_capped_full_criterion(m, l):
     trunc = _Truncation(m)
     d_min = min_dimension(m, l)
     for d in range(max(1, d_min - 3), d_min + 4):
-        slices = list(trunc.slices(l, d))
+        slices = [PolyGF2._from_keys(m, piece)
+                  for piece in trunc.slices(l, d)]
         heads = [{t[:2] for t in piece.term_tuples()} for piece in slices]
         assert all(len(h) == 1 for h in heads)
         heads = [h.pop() for h in heads]

@@ -352,6 +352,21 @@ def test_gen_measure_negative_seed_is_error(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, name, message", [
+    (("--n", "100"), "m.json", "point-cloud CSV must end in .csv"),
+    (("--grid-cells", "8"), "g.csv", "grid JSON must not end in .csv"),
+], ids=["cloud-named-json", "grid-named-csv"])
+def test_gen_measure_out_of_the_wrong_kind_is_error(tmp_path, capsys, argv,
+                                                    name, message):
+    # solve reads a .csv name as a point cloud and any other as a grid
+    out_path = tmp_path / name
+    code, out, err = run(capsys, "gen-measure", "--d", "2", *argv,
+                         "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err
+    assert not out_path.exists()
+
+
 def test_solve_unwritable_out_is_error_before_the_solve(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--input", str(_small_grid(tmp_path)),
                          "--l", "1", "--m", "2", "--tol", "0.1",

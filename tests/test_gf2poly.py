@@ -260,7 +260,8 @@ def test_slices_join_to_the_capped_product(case):
     # one (x1, x2) per slice, strictly ascending, no empty slice, and
     # together exactly the capped product
     a, b, caps = case
-    slices = list(a._slices(b, caps))
+    slices = [PolyGF2._from_keys(a.nvars, piece)
+              for piece in a._slices(b, caps)]
     heads = [{t[:2] for t in piece.term_tuples()} for piece in slices]
     assert all(len(h) == 1 for h in heads)
     heads = [h.pop() for h in heads]
@@ -328,6 +329,15 @@ def test_constructor_rejects_duplicates_and_bad_width():
 def test_api_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("nvars, indices, terms", [
+    (3, [0, 2], [(1, 0, 0), (0, 0, 1)]),
+    (2, [0, 0], []),  # x1 + x1 = 0
+    (3, [1, 2, 1], [(0, 0, 1)]),  # x2 + x3 + x2 = x3
+], ids=["distinct", "pair-cancels", "pair-among-three"])
+def test_linear_form_sums_over_gf2(nvars, indices, terms):
+    assert PolyGF2.linear_form(nvars, indices) == P(nvars, *terms)
 
 
 def test_equal_polynomials_print_and_hash_alike():

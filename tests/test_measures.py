@@ -167,6 +167,9 @@ def test_cloud_csv_refusals_are_one_line(tmp_path, recwarn, text, message):
      "bad CSV line 5: could not convert string 'a' to float64$"),
     ("x1,w\r\n1,2\r\n  \r\n",
      "bad CSV line 3: the number of columns changed from 2 to 1$"),
+    # a quoted field that spans lines is named by the row's last line
+    ('x1,w\n1,2\n"3\n",a\n',
+     "bad CSV line 4: could not convert string 'a' to float64$"),
 ])
 def test_cloud_csv_refusals_name_the_file_line(tmp_path, text, message):
     # the header is line 1, and blank lines count
@@ -174,6 +177,19 @@ def test_cloud_csv_refusals_name_the_file_line(tmp_path, text, message):
     path.write_bytes(text.encode())
     with pytest.raises(MeasureFormatError, match=message):
         load_measure(path)
+
+
+def test_refused_cloud_csv_is_parsed_once(tmp_path, monkeypatch):
+    # the parse that refuses a row also names its line
+    path = tmp_path / "c.csv"
+    path.write_text("x1,w\n1,2\n3,a\n")
+    calls = []
+    csv_rows = measures._csv_rows
+    monkeypatch.setattr(measures, "_csv_rows",
+                        lambda lines: calls.append(lines) or csv_rows(lines))
+    with pytest.raises(MeasureFormatError, match="bad CSV line 3"):
+        load_measure(path)
+    assert len(calls) == 1
 
 
 def test_cloud_csv_reads_crlf_blank_padded_and_quoted_rows(tmp_path):
@@ -861,6 +877,25 @@ def test_equivariance_flip_parallel_direction():
 def _slab_masses(measure, u, l):
     return np.bincount(direction_cut(measure, u, l)[1],
                        weights=measure.weights, minlength=l + 1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 101, 5001])
+def test_halfway_tie_costs_at_most_one_point_per_slab(n):
+    # an odd count of equal weights puts the l = 1 target halfway between
+    # two cuts, and "the lower on ties" takes the lower one along u and
+    # along -u alike: the mirrored slabs may differ by one point, one max
+    # weight, which is under the solver's 3 * max weight tolerance floor
+    pc = PointCloud(np.random.default_rng(n).standard_normal((n, 2)),
+                    np.ones(n))
+    u, extra = np.array([0.6, 0.8]), np.array([[0.8, -0.6]])
+    fwd = np.bincount(direction_cut(pc, u, 1)[1], minlength=2)
+    rev = np.bincount(direction_cut(pc, -u, 1)[1], minlength=2)[::-1]
+    assert np.abs(rev - fwd).max() <= 1
+    # generator 0 reverses the slabs of the box tensor
+    fwd = box_mass_tensor(pc, solver_test_map(pc, u, extra, 1).config)
+    rev = box_mass_tensor(pc, solver_test_map(pc, -u, extra, 1).config)
+    assert np.all(np.abs(rev[::-1] - fwd).sum(axis=1)
+                  <= pc.max_weight * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
