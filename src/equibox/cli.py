@@ -190,21 +190,20 @@ def _cmd_gen_measure(args):
     from equibox import measures
 
     grid = args.grid_cells is not None
-    if grid:
-        measure = measures.gaussian_mixture_grid(args.d, args.components,
-                                                 args.grid_cells, args.seed)
-    else:
-        measure = measures.gaussian_mixture_cloud(args.d, args.components,
-                                                  args.n, args.seed)
-    # after the generator's own checks, so that their refusals come first;
-    # solve reads the file by the same naming rule (measures.names_cloud)
+    size, check, generate, write = (
+        (args.grid_cells, measures.check_grid_args,
+         measures.gaussian_mixture_grid, measures.write_grid_json) if grid
+        else (args.n, measures.check_cloud_args,
+              measures.gaussian_mixture_cloud, measures.write_cloud_csv))
+    # the generator's own refusals first, then the naming rule, by which
+    # solve reads the file (measures.names_cloud), and only then the draw
+    check(args.d, args.components, size, args.seed)
     if measures.names_cloud(args.out) == grid:
         kind, rule = (("grid JSON", "must not end") if grid
                       else ("point-cloud CSV", "must end"))
         raise ValueError("--out %r: the name of a %s %s in .csv"
                          % (args.out, kind, rule))
-    (measures.write_grid_json if grid else measures.write_cloud_csv)(
-        args.out, measure)
+    write(args.out, generate(args.d, args.components, size, args.seed))
     print("wrote %s" % args.out)
     return 0
 

@@ -31,6 +31,11 @@ tol with non-collinear directions ends the solve; that evaluation is the
 result, not re-evaluated. Otherwise a restart ends after maxfev test_map
 evaluations or when minimize stops on its own tolerances, and the next
 restart begins; the report holds the best evaluation of the solve.
+An evaluation (test_map) keeps its deviations, their two norms and the
+directions and offsets it was made at; it builds its Configuration only
+when its config is first read. Choosing the best (_better, _accepted)
+and scoring the coarse grid read the norms alone, so one solve builds
+one Configuration, its report's.
 
 An evaluation depends on each of its m directions only through that
 direction's cut (measures.direction_cut: quantile offsets plus the
@@ -98,12 +103,23 @@ LSQ_TOL = 1e-8  # ftol = xtol = gtol of minimize
 
 @dataclass
 class DeviationTensor:
-    """Box masses minus the uniform target, with its residual norms."""
+    """Box masses minus the uniform target, with its residual norms, and
+    the directions and offsets it was evaluated at. Its Configuration is
+    built, and validated, when config is first read: a solve reads only
+    its best evaluation's, for the report."""
 
     values: np.ndarray
-    config: Configuration
     residual_max: float
     residual_l2: float
+    u: np.ndarray
+    extra_dirs: np.ndarray
+    parallel_offsets: np.ndarray
+    extra_offsets: list
+
+    @functools.cached_property
+    def config(self):
+        return Configuration(self.u, self.extra_dirs, self.parallel_offsets,
+                             self.extra_offsets)
 
 
 def test_map(measure, u, extra_dirs, l, _cuts=None):
@@ -116,20 +132,22 @@ def test_map(measure, u, extra_dirs, l, _cuts=None):
     given, stands in for direction_cut(measure, w, k);
     solve_equipartition passes its memo (_cut_memo), so an evaluation
     recomputes only the cuts of directions it has not seen recently. The
-    result is the same bit for bit."""
+    result is the same bit for bit. No Configuration is built here: the
+    result builds its config when that is first read."""
     if _cuts is None:
         _cuts = functools.partial(direction_cut, measure)
     parallel, slab = _cuts(u, l)
     extra = [_cuts(v, 1) for v in extra_dirs]
-    config = Configuration(u, np.atleast_2d(extra_dirs), parallel,
-                           [float(offsets[0]) for offsets, _ in extra])
     tensor = measure.combine(slab, [side for _, side in extra], l)
-    dev = tensor - rho(config.l, config.m)
+    dev = tensor - rho(l, len(extra) + 1)
     return DeviationTensor(
         values=dev,
-        config=config,
         residual_max=float(np.abs(dev).max()),
         residual_l2=float(np.sqrt((dev ** 2).sum())),
+        u=u,
+        extra_dirs=np.atleast_2d(extra_dirs),
+        parallel_offsets=parallel,
+        extra_offsets=[float(offsets[0]) for offsets, _ in extra],
     )
 
 

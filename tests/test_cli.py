@@ -367,6 +367,26 @@ def test_gen_measure_out_of_the_wrong_kind_is_error(tmp_path, capsys, argv,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--n", "1000000"), "big.json"),
+    (("--grid-cells", "8"), "g.csv"),
+], ids=["cloud-named-json", "grid-named-csv"])
+def test_gen_measure_refuses_the_wrong_kind_before_any_draw(
+        tmp_path, capsys, monkeypatch, argv, name):
+    from equibox import measures
+
+    def no_draw(seed):
+        raise AssertionError("drew a measure before the --out name check")
+
+    monkeypatch.setattr(measures.np.random, "default_rng", no_draw)
+    out_path = tmp_path / name
+    code, out, err = run(capsys, "gen-measure", "--d", "2", *argv,
+                         "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "in .csv" in err
+    assert not out_path.exists()
+
+
 def test_solve_unwritable_out_is_error_before_the_solve(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--input", str(_small_grid(tmp_path)),
                          "--l", "1", "--m", "2", "--tol", "0.1",

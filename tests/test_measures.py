@@ -287,6 +287,20 @@ def test_mixture_grid_holds_no_coordinate_grids():
     assert peak < 6 * 6 ** 8 * 8
 
 
+def test_coordinates_are_stored_by_column():
+    # points @ w runs BLAS's column kernel; a row-major input is copied once
+    cloud = gaussian_mixture_cloud(4, 3, 2001, seed=3)
+    rows = PointCloud(np.ascontiguousarray(cloud.points), cloud.weights)
+    grid = gaussian_mixture_grid(2, 3, 24, seed=3)
+    for coords in (cloud.points, rows.points, grid.cell_centers()[0]):
+        assert coords.flags.f_contiguous and not coords.flags.writeable
+    w = np.array([0.5, -0.5, 0.5, 0.5])
+    ref = np.array([np.dot(x, w) for x in cloud.points])
+    bound = 4 * np.spacing(np.linalg.norm(cloud.points, axis=1))  # |w| = 1
+    for measure in (cloud, rows):
+        assert np.all(np.abs(measure.project(w) - ref) <= bound)
+
+
 def test_measure_invariants():
     with pytest.raises(MeasureFormatError):
         PointCloud(np.zeros((0, 2)), np.zeros(0))

@@ -440,9 +440,50 @@ def test_report_holds_the_best_of_every_evaluation(monkeypatch, make_measure,
     assert rep.residual_max == best.residual_max
 
 
+@pytest.mark.parametrize("make_measure,l,m,tol,coarse_grid", [
+    (lambda: gaussian_mixture_grid(2, 3, 48, seed=7), 2, 2, 1e-3, 8),
+    (lambda: gaussian_mixture_cloud(3, 3, 4000, seed=5), 2, 3, 1e-2, 0),
+], ids=["grid", "cloud"])
+def test_solve_builds_a_configuration_only_for_its_report(
+        monkeypatch, make_measure, l, m, tol, coarse_grid):
+    # evaluations, coarse-grid seeding included, keep directions and
+    # offsets; only the report reads a Configuration
+    measure = make_measure()
+    built = []
+
+    class CountingConfiguration(Configuration):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "Configuration", CountingConfiguration)
+    rep = solve_equipartition(measure, l, m, tol=tol, max_restarts=20,
+                              seed=0, coarse_grid=coarse_grid)
+    assert rep.status == CONVERGED and rep.evaluations > 10
+    assert 1 <= len(built) <= 2
+    assert isinstance(rep.config, CountingConfiguration)
+
+
+def test_cloud_solve_report_is_independent_of_point_order():
+    # the benchmark's cloud problem, whose seed permutes the points and
+    # whose harness expects one report for every seed
+    cloud = gaussian_mixture_cloud(4, 3, 50000, 11)
+    reports = set()
+    for s in (1, 2, 3):
+        perm = np.random.default_rng(s).permutation(50000)
+        shuffled = PointCloud(cloud.points[perm], cloud.weights[perm])
+        rep = solve_equipartition(shuffled, 2, 3, tol=5e-3, max_restarts=50,
+                                  seed=0)
+        assert rep.status == CONVERGED
+        reports.add(rep.to_json())
+    assert len(reports) == 1
+
+
 def _candidate(residual_l2, degenerate):
-    return (solver.DeviationTensor(values=None, config=None, residual_max=0.0,
-                                   residual_l2=residual_l2), degenerate)
+    return (solver.DeviationTensor(values=None, residual_max=0.0,
+                                   residual_l2=residual_l2, u=None,
+                                   extra_dirs=None, parallel_offsets=None,
+                                   extra_offsets=None), degenerate)
 
 
 def test_better_orders_candidates():
