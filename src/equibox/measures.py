@@ -62,19 +62,24 @@ hyperplane, its side 0 or 1); combine builds the box index in place and
 sums the weights per box with one bincount.
 
 GridDensity: along a direction w, each cell's mass is spread uniformly
-over its projected interval c.w +- |w|.h / 2, and the projection is the
-cells' lower ends and that common width. Binning the N lower ends at the
-width (at most max n_i bins) gives the CDF exactly at every bin edge,
-and between two edges it depends only on the cells of two bins
-(ProjectedGridCDF). An offset is the exact root of the linear piece that
-holds its target: no global sort and no bisection, and |F(offset) -
-target| is rounding, within GRID_QUANTILE_TOL. A cell's membership
-against k offsets is its fraction in each of the k+1 slabs they bound,
-made once per cut (for a single hyperplane, its fractions below and
-above). combine gives a box each cell's mass times its slab fraction
-times its fraction on the box's side of every single hyperplane, one
-matrix-vector product per box column, so the tensor's slab and halving
-sums hold to rounding for every direction.
+over its projected interval c.w +- |w|.h / 2, and every cell's interval
+has the one width |w|.h. A grid cut works in that cell width as its
+unit: the projection is s = c.(w / width), shifted so that its least
+value is 0, with the origin and the width that map it back to space, so
+a cell's interval is [s, s + 1]. Binning s at unit width (at most max
+n_i bins) gives the CDF exactly at every bin edge, and between two edges
+it depends only on the cells of two bins (ProjectedGridCDF). All
+targets are then solved in one sorted pass over the ramps of those
+cells: an offset is the exact root of the linear piece that holds its
+target, with no global sort and no bisection, and |F(offset) - target|
+is rounding, within GRID_QUANTILE_TOL. A cell's membership against k
+offsets is its fraction in each of the k+1 slabs they bound, the
+offsets in cell widths minus s, clipped, made once per cut (for a
+single hyperplane, its fractions below and above). combine gives a box
+each cell's mass times its slab fraction times its fraction on the
+box's side of every single hyperplane, one matrix-vector product per
+box column, so the tensor's slab and halving sums hold to rounding for
+every direction.
 
 The box tensor depends on each direction only through the cut it makes
 (direction_cut): its k quantile offsets (k = l for the parallel family,
@@ -110,8 +115,10 @@ def _projections_fit(d, *extremes):
         return bool(np.isfinite(8 * np.sqrt(d) * np.max(extremes)))
 
 
-def _frozen(a, dtype=float):
-    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
+def _frozen(a, order="C"):
+    """A read-only float view of a, copied only if a is not already float
+    in that order; the caller's own array stays writeable."""
+    out = np.asarray(a, dtype=float, order=order).view()
     out.flags.writeable = False
     return out
 
@@ -138,8 +145,7 @@ class PointCloud:
         if total <= 0:
             raise MeasureFormatError("total mass must be positive")
         # by column: points @ w runs BLAS's column kernel (module docstring)
-        self.points = np.asfortranarray(points)
-        self.points.flags.writeable = False
+        self.points = _frozen(points, order="F")
         self.weights = _frozen(weights / total)
         # the weights are frozen: one test here, not one per cut; equal
         # weights rank a cut's targets against their prefix sums
@@ -253,34 +259,39 @@ class GridDensity:
         return self._flat
 
     def project(self, w):
-        """Lower ends (N,) and common width of the cells' projections onto
-        w, in cell_centers order."""
+        """(s, start, width): every cell's projection onto w in cell
+        widths, s = c.(w / width) shifted so that its least value is 0,
+        in cell_centers order; cell i spreads over [s_i, s_i + 1], which is
+        start + width * [s_i, s_i + 1] in space."""
         centers, _ = self.cell_centers()
         width = float(np.abs(w) @ self.spacing)
-        lower = centers @ w
-        lower -= 0.5 * width
-        return lower, width
+        s = centers @ (w / width)
+        least = s.min()
+        s -= least
+        return s, (least - 0.5) * width, width
 
     def quantile_offsets(self, proj, targets):
-        return ProjectedGridCDF(self, *proj).quantiles(targets)
+        s, start, width = proj
+        return start + width * ProjectedGridCDF(self, s).quantiles(targets)
 
     def membership(self, proj, offsets):
         """(k+1, N): each cell's fraction in each of the k+1 slabs of the
         k offsets; for one offset, its fractions below and above it.
 
-        The slab fractions are filled in place in the one array returned:
-        row i first holds the clipped fraction below offset i+1; then slab
-        k becomes 1 minus the fraction below offset k, and each slab i >= 1
-        the fraction below offset i+1 minus that below offset i, from the
-        top down so that every row is read before it is overwritten. That is
+        The offsets are put in cell widths, so a cell's fraction below one
+        is that minus s, clipped, with no division per cell. The slab
+        fractions are filled in place in the one array returned: row i
+        first holds the fraction below offset i+1; then slab k becomes 1
+        minus the fraction below offset k, and each slab i >= 1 the
+        fraction below offset i+1 minus that below offset i, from the top
+        down so that every row is read before it is overwritten. That is
         np.diff(below, prepend=0, append=1) bit for bit, without a second
         (k, N) array."""
-        lower, width = proj
+        s, start, width = proj
         k = len(offsets)
-        frac = np.empty((k + 1, len(lower)))
+        frac = np.empty((k + 1, len(s)))
         below = frac[:k]
-        np.subtract.outer(offsets, lower, out=below)
-        below /= width
+        np.subtract.outer((offsets - start) / width, s, out=below)
         np.clip(below, 0.0, 1.0, out=below)
         frac[k] = 1.0 - frac[k - 1]
         for i in range(k - 1, 0, -1):
@@ -655,84 +666,72 @@ def _plateau_quantile_offsets(proj, weights, targets):
 
 
 class ProjectedGridCDF:
-    """Continuous CDF of a grid measure whose cells are spread uniformly
-    over the projected intervals [lower, lower + width] (GridDensity.project).
+    """Continuous CDF, in cell widths, of a grid measure whose cells are
+    spread uniformly over the unit intervals [s_i, s_i + 1]
+    (GridDensity.project): F(x) = sum_i m_i clip(x - s_i, 0, 1).
 
-    In the unit s = (t - start) / width, start the least lower end, cell i
-    starts at s_i = b_i + f_i, in the bin b_i = floor(s_i), 0 <= f_i < 1. All
-    cells share the width, so at s = e + x (0 <= x < 1) the cells of the
-    bins below e - 1 lie wholly below t, those above e wholly above, and
+    Cell i lies in the bin b_i = floor(s_i), at f_i = s_i - b_i. On
+    [e, e + 1] the cells of the bins below e - 1 lie wholly below x, those
+    above e wholly above, so F there depends only on the cells of bins
+    e - 1 and e. At the edge e, F = C_e - sum_(b_i = e-1) m_i f_i, C_e the
+    mass of the bins below e: there are at most max n_i bins, so two
+    bincounts (mass and mass * f) and a prefix sum give F exactly at every
+    edge, with no sort of the N values of s. Bins and fractions come from
+    one array, so a cell that rounding puts in a neighbouring bin still
+    counts once."""
 
-        F = C_e - sum_(b_i = e-1) m_i (f_i - x)+ + sum_(b_i = e) m_i (x - f_i)+
-
-    with C_e the mass of the bins below e. There are at most max n_i bins,
-    so two bincounts (mass and mass * f) and a prefix sum give F exactly at
-    every bin edge, with no sort of the N lower ends. A target is bracketed
-    between two edges by one searchsorted; between them F is piecewise
-    linear with a breakpoint at the f of each cell of bins e - 1 and e, and
-    those few cells alone are sorted to solve the target's linear piece
-    exactly (_bin_root). Bins, fractions and masses come from one set of
-    arrays, so a cell that rounding puts in a neighbouring bin still counts
-    once."""
-
-    def __init__(self, grid, lower, width):
+    def __init__(self, grid, s):
         _, self.masses = grid.cell_centers()
-        self.start, self.width = float(lower.min()), width
-        s = lower - self.start  # in place below: a temporary per step of
-        s /= width              # N values costs page faults, not flops
+        self.s = s
         self.bins = s.astype(np.intp)  # s >= 0, so this is the floor
-        s -= self.bins
-        self.frac = s
-        mass = np.bincount(self.bins, weights=self.masses)
-        frac_moment = np.bincount(self.bins, weights=self.masses * s)
-        self.mass_below = np.concatenate(([0.0], np.cumsum(mass)))  # C_e
-        self.edge_values = self.mass_below - np.concatenate(([0.0], frac_moment))
+        cell_moment = s - self.bins  # f, then mass * f, in place
+        cell_moment *= self.masses
+        self.bin_mass = np.bincount(self.bins, weights=self.masses)
+        bin_moment = np.bincount(self.bins, weights=cell_moment)
+        self.edge_values = np.concatenate(
+            ([0.0], np.cumsum(self.bin_mass) - bin_moment))
 
     # stays because perfbench/layers.py:44 counts its calls (count_calls)
-    def value(self, t):
-        """F(t) from the spread model itself: each cell's mass times its
-        fraction below t, the ramp GridDensity.membership also applies."""
-        x = (t - self.start) / self.width - (self.bins + self.frac)
-        return float(self.masses @ np.clip(x, 0.0, 1.0))
+    def value(self, x):
+        """F(x) from the spread model itself: each cell's mass times its
+        fraction below x, the ramp GridDensity.membership also applies."""
+        return float(self.masses @ np.clip(x - self.s, 0.0, 1.0))
 
     def quantiles(self, targets):
-        """The least t with F(t) = target, for each target in (0, 1)."""
-        last = len(self.mass_below) - 1
-        # F(edge e) < target <= F(edge e + 1)
+        """The least x with F(x) = target, for each target in (0, 1), all
+        in one sorted pass.
+
+        Each target is bracketed between two bin edges, F(e) < target <=
+        F(e + 1), and the cells of its bins e - 1 and e are taken. Their
+        ramps, each +m from s and -m from s + 1, are sorted once; a
+        cumulative slope and a cumulative integral then give F of the
+        taken cells alone, piecewise linear between the sorted breaks. On
+        [e, e + 1] every cell not taken lies wholly below or wholly above,
+        so F is that plus the mass of the cells not taken below e, and the
+        first break where it reaches a target closes the target's exact
+        linear piece. A flat piece never closes it, so on a flat stretch
+        the least root is the stretch's left end."""
+        last = len(self.bin_mass)
         edges = np.clip(np.searchsorted(self.edge_values, targets) - 1, 0, last)
         near = np.zeros(last, dtype=bool)
         near[edges[edges > 0] - 1] = True
         near[edges[edges < last]] = True
         cells = np.flatnonzero(near[self.bins])
-        bins, frac, masses = self.bins[cells], self.frac[cells], self.masses[cells]
-        offsets = np.empty(len(edges))
-        for i, (target, e) in enumerate(zip(targets, edges)):
-            upper = bins == e
-            local = upper | (bins == e - 1)
-            x = _bin_root(frac[local], masses[local], upper[local],
-                          target - self.mass_below[e])
-            offsets[i] = self.start + (e + x) * self.width
-        return offsets
-
-
-def _bin_root(frac, masses, upper, r):
-    """Least x in [0, 1] with G(x) = r, where G(x) is the sum over the
-    upper cells of m (x - f)+ minus the sum over the others of m (f - x)+.
-
-    Between its sorted breakpoints f, G(x) = M x - S: M is the mass of the
-    upper cells already started and of the others not yet ended, and S
-    their sum of m f. The first piece whose right end reaches r holds the
-    root; a flat piece (M = 0) holds it only at its left end."""
-    order = np.argsort(frac)
-    xs = np.concatenate(([0.0], frac[order], [1.0]))
-    step = np.where(upper, masses, -masses)[order]  # jump of M at each f
-    ends = ~upper
-    slope = np.cumsum(np.concatenate(([masses[ends].sum()], step)))
-    moment = np.cumsum(np.concatenate(([masses[ends] @ frac[ends]],
-                                       step * xs[1:-1])))
-    k = min(int(np.searchsorted(slope * xs[1:] - moment, r)), len(slope) - 1)
-    x = (r + moment[k]) / slope[k] if slope[k] > 0 else xs[k]
-    return min(max(x, xs[k]), xs[k + 1])
+        s, masses = self.s[cells], self.masses[cells]
+        breaks = np.concatenate((s, s + 1.0))
+        order = np.argsort(breaks, kind="stable")
+        breaks = breaks[order]
+        slope = np.cumsum(np.concatenate((masses, -masses))[order])
+        # F of the taken cells at each break
+        rise = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(breaks))))
+        far_below = np.concatenate(
+            ([0.0], np.cumsum(np.where(near, 0.0, self.bin_mass))))
+        r = targets - far_below[edges]
+        # rise[k] < r <= rise[k + 1], a piece of positive slope
+        k = np.clip(np.searchsorted(rise, r) - 1, 0, len(breaks) - 2)
+        step = np.divide(r - rise[k], slope[k], out=np.zeros(len(k)),
+                         where=slope[k] > 0)
+        return np.clip(breaks[k] + step, edges, edges + 1)
 
 
 def _quantile_targets(l):

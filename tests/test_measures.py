@@ -17,7 +17,6 @@ from equibox.measures import (
     MeasureFormatError,
     PointCloud,
     ProjectedGridCDF,
-    _bin_root,
     _plateau_quantile_offsets,
     _uniform_quantile_offsets,
     box_mass_tensor,
@@ -301,6 +300,27 @@ def test_coordinates_are_stored_by_column():
         assert np.all(np.abs(measure.project(w) - ref) <= bound)
 
 
+def test_measures_freeze_views_not_the_callers_arrays():
+    # a measure's arrays are read-only, and the float arrays it was built
+    # from stay writeable, also those it keeps uncopied (origin, spacing,
+    # the points and every configuration field)
+    origin, spacing = np.array([0.0, 1.0]), np.array([0.5, 0.25])
+    cells, weights = np.ones((3, 4)), np.ones(6)
+    pts = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+    fields = (np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([0.5]),
+              np.array([0.25]))
+    grid = GridDensity(origin, spacing, cells)
+    cloud = PointCloud(pts, weights)
+    cfg = Configuration(*fields)
+    for a in (origin, spacing, cells, pts, weights) + fields:
+        assert a.flags.writeable
+    for a in (grid.origin, grid.spacing, grid.cells, cloud.points,
+              cloud.weights, cfg.u, cfg.extra_dirs, cfg.parallel_offsets,
+              cfg.extra_offsets):
+        assert not a.flags.writeable
+    assert np.shares_memory(cloud.points, pts) and cloud.points.flags.f_contiguous
+
+
 def test_measure_invariants():
     with pytest.raises(MeasureFormatError):
         PointCloud(np.zeros((0, 2)), np.zeros(0))
@@ -372,19 +392,27 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
         else:
             u = rng.standard_normal(d)
             u /= np.linalg.norm(u)
-        cdf = ProjectedGridCDF(g, *g.project(u))
+        s, start, width = g.project(u)
+        cdf = ProjectedGridCDF(g, s)  # in cell widths
         # oracle: each cell's mass spread uniformly over c.u +- |u|.h/2
-        width = np.abs(u) @ g.spacing
+        assert width == np.abs(u) @ g.spacing
         lower = centers @ u - width / 2
         lo, hi = lower.min(), lower.max() + width
         ts = np.concatenate([[lo - 1.0, lo, hi, hi + 1.0],
                              rng.uniform(lo, hi, 40)])
         for t in ts:
             expect = masses @ np.clip((t - lower) / width, 0.0, 1.0)
-            assert abs(cdf.value(t) - expect) <= 1e-12
+            assert abs(cdf.value((t - start) / width) - expect) <= 1e-12
         qs = np.concatenate([[1e-6, 0.5, 1 - 1e-6], rng.uniform(0, 1, 10)])
-        for q, t in zip(qs, cdf.quantiles(qs)):
-            assert abs(cdf.value(t) - q) <= GRID_QUANTILE_TOL
+        for q, x in zip(qs, cdf.quantiles(qs)):
+            assert abs(cdf.value(x) - q) <= GRID_QUANTILE_TOL
+
+
+def _lower_ends(grid, u):
+    # the cells' projected intervals in space, [lower, lower + width]
+    centers, _ = grid.cell_centers()
+    width = float(np.abs(u) @ grid.spacing)
+    return centers @ u - 0.5 * width, width
 
 
 # reference: the grid CDF before binning, one stable sort of the N lower
@@ -394,7 +422,7 @@ def test_grid_cdf_matches_per_cell_spread(d, cells, axis_aligned):
 class _SortBisectCDF:
     def __init__(self, grid, u):
         _, masses = grid.cell_centers()
-        a, self.width = grid.project(u)
+        a, self.width = _lower_ends(grid, u)
         order = np.argsort(a, kind="stable")
         self.a, masses = a[order], masses[order]
         self.mass_cum = np.concatenate(([0.0], np.cumsum(masses)))
@@ -472,12 +500,39 @@ def test_grid_quantile_on_a_flat_stretch_is_its_left_end():
     u = np.array([1.0, 0.0])
     offsets = _assert_least_roots(g, u, 3)
     assert np.allclose(offsets, [-0.75, -0.5, 0.75], rtol=0.0, atol=1e-15)
-    cdf = ProjectedGridCDF(g, *g.project(u))
-    for t in (-0.5, -0.1, 0.3, 0.5):  # the flat stretch [-0.5, 0.5]
-        assert cdf.value(t) == 0.5
-    assert cdf.quantiles([0.5])[0] == -0.5
-    # a piece that is flat from x = 0 holds its root at its left end
-    assert _bin_root(np.array([0.5]), np.array([1.0]), np.array([True]), 0.0) == 0.0
+    s, start, width = g.project(u)
+    assert (start, width) == (-1.0, 0.25)  # row i spreads over [i, i + 1]
+    cdf = ProjectedGridCDF(g, s)
+    for x in (2.0, 3.6, 5.2, 6.0):  # the flat stretch [-0.5, 0.5]
+        assert cdf.value(x) == 0.5
+    assert cdf.quantiles([0.5])[0] == 2.0
+
+
+@pytest.mark.parametrize("heavy, flat, root", [
+    # (0, 0) over [0, 1] and (1, 0) over [0.5, 1.5]: F reaches 1/2 at 1.5,
+    # inside bin 1, and stays there until (3, 3) starts at 3
+    ([(0, 0), (1, 0), (3, 3), (3, 3)], (1.5, 3.0), 1.5),
+    # (0, 0) over [0, 1], then nothing until (2, 1) starts at 1.5: a piece
+    # flat from the left end of bin 1
+    ([(0, 0), (2, 1)], (1.0, 1.5), 1.0),
+], ids=["inside-a-bin", "from-a-bin-edge"])
+def test_grid_quantile_on_a_flat_piece_is_its_left_end(heavy, flat, root):
+    # along w = (1, 1) on unit cells, width 2, cell (i, j) spreads over
+    # [(i + j) / 2, (i + j) / 2 + 1] in cell widths; every value is exact
+    cells = np.zeros((4, 4))
+    for ij in heavy:
+        cells[ij] += 1.0
+    g = GridDensity([0.0, 0.0], [1.0, 1.0], cells)
+    w = np.array([1.0, 1.0])
+    s, start, width = g.project(w)
+    assert (start, width) == (0.0, 2.0)
+    cdf = ProjectedGridCDF(g, s)
+    lo, hi = flat
+    for x in (lo, 0.5 * (lo + hi), hi):
+        assert cdf.value(x) == 0.5
+    assert cdf.value(lo - 1e-9) < 0.5
+    assert cdf.quantiles([0.25, 0.5])[1] == root
+    assert g.quantile_offsets(g.project(w), [0.5])[0] == start + width * root
 
 
 def test_grid_quantiles_with_zero_mass_rows_match_reference():
@@ -499,13 +554,14 @@ def test_two_by_two_grid_quantiles_and_value_outside_the_support():
     for u in [np.array([1.0, 0.0]), np.array([0.0, 1.0])] + [
             v / np.linalg.norm(v) for v in rng.standard_normal((8, 2))]:
         _assert_least_roots(g, u, 3)
-        lower, width = g.project(u)
-        cdf = ProjectedGridCDF(g, lower, width)
-        lo, hi = lower.min(), lower.max() + width
-        for t in (lo - 5.0, lo - 1e-9, lo):
-            assert cdf.value(t) == 0.0
-        for t in (hi, hi + 1e-9, hi + 5.0):
-            assert abs(cdf.value(t) - 1.0) <= 1e-15
+        s, _, _ = g.project(u)
+        cdf = ProjectedGridCDF(g, s)  # the cells spread over [s, s + 1]
+        assert s.min() == 0.0
+        for x in (-5.0, -1e-9, 0.0):
+            assert cdf.value(x) == 0.0
+        hi = s.max() + 1.0
+        for x in (hi, hi + 1e-9, hi + 5.0):
+            assert abs(cdf.value(x) - 1.0) <= 1e-15
 
 
 def test_grid_quantiles_many_targets_on_a_small_grid():
@@ -520,12 +576,80 @@ def test_grid_quantiles_many_targets_on_a_small_grid():
         assert np.array_equal(member, _grid_membership_reference(g, u, offsets))
 
 
+# reference: every least root from one sort of all 2N ramp ends, F at
+# each end from prefix sums over the sorted lower ends in extended
+# precision, and the root interpolated on the first piece reaching the
+# target; offsets in space, from the least lower end
+
+
+def _sorted_ramps_quantiles(grid, u, targets):
+    _, masses = grid.cell_centers()
+    lower, width = _lower_ends(grid, u)
+    order = np.argsort(lower, kind="stable")
+    a = ((lower[order] - lower.min()) / width).astype(np.longdouble)
+    mass_cum = np.concatenate(
+        ([0.0], np.cumsum(masses[order], dtype=np.longdouble)))
+    moment_cum = np.concatenate(([0.0], np.cumsum(masses[order] * a)))
+    ends = np.unique(np.concatenate((a, a + 1)))
+    i = np.searchsorted(a, ends - 1, side="right")
+    j = np.searchsorted(a, ends, side="right")
+    f = (mass_cum[i] + ends * (mass_cum[j] - mass_cum[i])
+         - (moment_cum[j] - moment_cum[i]))
+    k = np.searchsorted(f, np.asarray(targets, dtype=np.longdouble))
+    x = ends[k - 1] + ((targets - f[k - 1]) * (ends[k] - ends[k - 1])
+                       / (f[k] - f[k - 1]))
+    return (lower.min() + width * x).astype(float)
+
+
+def _grid_fuzz_grid(rng, d, n):
+    cells = rng.uniform(0.0, 1.0, (n,) * d)
+    cells[rng.random(cells.shape) < 0.2] = 0.0  # scattered empty cells
+    cells[rng.integers(n)] = 0.0  # and an empty slice of axis 0
+    return GridDensity(rng.uniform(-1, 1, d), rng.uniform(0.1, 0.4, d), cells)
+
+
+def _assert_matches_sorted_ramps(grid, u, l):
+    """The offsets lie within 1e-10 of a cell width of the sort-based
+    reference, and the spread model puts |F(offset) - target| within
+    GRID_QUANTILE_TOL."""
+    targets = [(i + 1) / (l + 1) for i in range(l)]
+    offsets = direction_quantiles(grid, u, l)
+    lower, width = _lower_ends(grid, u)
+    ref = _sorted_ramps_quantiles(grid, u, targets)
+    assert np.abs(offsets - ref).max() <= 1e-10 * width
+    _, masses = grid.cell_centers()
+    f = np.clip((offsets[:, None] - lower) / width, 0.0, 1.0) @ masses
+    assert np.abs(f - targets).max() <= GRID_QUANTILE_TOL
+
+
+@pytest.mark.parametrize("d, n", [(2, 20), (3, 8), (4, 5), (5, 4), (6, 3)])
+def test_grid_quantiles_fuzz_against_sorted_ramps(d, n):
+    rng = np.random.default_rng(90 + d)
+    for _ in range(8):
+        g = _grid_fuzz_grid(rng, d, n)
+        axis = np.zeros(d)
+        axis[rng.integers(d)] = rng.choice([-1.0, 1.0])
+        dirs = rng.standard_normal((2, d))
+        for u in [axis] + list(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)):
+            for l in (1, 2, 30, 300):
+                _assert_matches_sorted_ramps(g, u, l)
+
+
+def test_grid_quantiles_one_thousand_targets():
+    # l = 1000 on a 64^2 grid: every bin holds targets, and one sorted
+    # pass solves them all
+    g = gaussian_mixture_grid(2, 3, 64, seed=12)
+    rng = np.random.default_rng(12)
+    for u in (np.array([0.0, -1.0]), rng.standard_normal(2)):
+        _assert_matches_sorted_ramps(g, u / np.linalg.norm(u), 1000)
+
+
 def _grid_membership_reference(grid, u, offsets):
     # each cell's k+1 slab fractions between the k offsets (below and
     # above for one offset), bit for bit what np.diff makes of its
-    # fractions below them
-    lower, width = grid.project(u)
-    below = np.clip((offsets[:, None] - lower) / width, 0.0, 1.0)
+    # fractions below them, in cell widths
+    s, start, width = grid.project(u)
+    below = np.clip(((offsets - start) / width)[:, None] - s, 0.0, 1.0)
     return np.diff(below, axis=0, prepend=0.0, append=1.0)
 
 
@@ -625,22 +749,31 @@ def _classify(points, masses, config):
     return tensor.reshape(l + 1, 2 ** (m - 1))
 
 
-def _spread_cells(grid, config):
+def _below_in_cell_widths(grid, w, offsets):
+    # each cell's fraction below each offset in cell widths: the offsets'
+    # distance from the least lower end minus the cells', both in widths
+    centers, _ = grid.cell_centers()
+    width = float(np.abs(w) @ grid.spacing)
+    proj = centers @ (w / width)
+    least = proj.min()
+    start = (least - 0.5) * width
+    return np.clip(((offsets - start) / width)[:, None] - (proj - least),
+                   0.0, 1.0)
+
+
+def _below_in_space(grid, w, offsets):
+    # the same fractions from the lower ends in space, (t - lower) / width
+    lower, width = _lower_ends(grid, w)
+    return np.clip((offsets[:, None] - lower) / width, 0.0, 1.0)
+
+
+def _spread_cells(grid, config, fractions_below=_below_in_cell_widths):
     l, m = config.l, config.m
     _, masses = grid.cell_centers()
-
-    def intervals(w):
-        centers, _ = grid.cell_centers()
-        width = float(np.abs(w) @ grid.spacing)
-        return centers @ w - 0.5 * width, width
-
-    a, width = intervals(config.u)
-    below_cut = np.clip((config.parallel_offsets[:, None] - a) / width, 0.0, 1.0)
+    below_cut = fractions_below(grid, config.u, config.parallel_offsets)
     slab_frac = np.diff(below_cut, axis=0, prepend=0.0, append=1.0)
-    below = []
-    for v, c in zip(config.extra_dirs, config.extra_offsets):
-        lo, v_width = intervals(v)
-        below.append(np.clip((c - lo) / v_width, 0.0, 1.0))
+    below = [fractions_below(grid, v, np.array([c]))[0]
+             for v, c in zip(config.extra_dirs, config.extra_offsets)]
     tensor = np.zeros((l + 1, 2 ** (m - 1)))
     for bits in range(2 ** (m - 1)):
         side = masses.copy()
@@ -678,8 +811,11 @@ def test_split_tensor_matches_reference(kind, m):
     for l in range(1, 6):
         u, extra = _random_config(rng, measure.dim, l, m)
         cfg = solver_test_map(measure, u, extra, l).config
-        assert np.array_equal(box_mass_tensor(measure, cfg),
-                              _reference_tensor(measure, cfg))
+        tensor = box_mass_tensor(measure, cfg)
+        assert np.array_equal(tensor, _reference_tensor(measure, cfg))
+        if measure.kind == "grid":  # the fractions from space units
+            space = _spread_cells(measure, cfg, _below_in_space)
+            assert np.abs(tensor - space).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(SPLIT_MEASURES))
