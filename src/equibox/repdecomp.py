@@ -80,7 +80,6 @@ class CharacterTable:
     """Multiplicity of each sign character, keyed by its form mask (see
     the module docstring): bit i for x_(i+1)."""
 
-    m: int
     multiplicities: dict
     total_dim: int
 
@@ -257,7 +256,7 @@ def character_multiplicities(spec):
     if sum(mult.values()) != total_dim:
         raise ValueError("multiplicities sum to %d, not the dimension %d"
                          % (sum(mult.values()), total_dim))
-    return CharacterTable(spec.m, mult, total_dim)
+    return CharacterTable(mult, total_dim)
 
 
 # stays because perfbench/workloads.py reads it

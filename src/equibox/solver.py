@@ -13,7 +13,7 @@ Each restart is an unconstrained trust-region least-squares solve
 Jacobian, as in the unbounded branch of Branch, Coleman & Li's "trf")
 on the deviation vector, the flattened (l+1) x 2^(m-1) tensor of box
 masses minus the uniform target. Its first Jacobian is a 2-point finite
-difference at the relative step of the measure's kind (diff_step).
+difference at the measure's own relative step (diff_step).
 After a step that earns at least a quarter of its predicted reduction,
 Broyden's rank-one secant update takes the place of the m(d-1) probes,
 and only a poorer accepted step rebuilds the differences. A point
@@ -48,11 +48,11 @@ changes one direction; the d-1 probes of one block must leave the base
 point's other m-1 cuts cached, which takes m + d - 1 of the entries. The
 coarse grid cycles its last angle through coarse_grid values, which
 takes coarse_grid + 1. A Jacobian sweep of the parallel direction can
-fill the memo with parallel cuts, so a grid solve is refused when
-m + d + coarse_grid of them, l+1 slab fractions per cell each
-(GridDensity.membership), would pass GENERATED_VALUES_MAX values. The
-memo goes with the solve, and verify_configuration recomputes everything
-from scratch, one cut at a time.
+fill the memo with parallel cuts, so the measure is asked whether it
+can hold m + d + coarse_grid of them (check_cuts: a grid refuses when
+their l+1 slab fractions per cell would pass GENERATED_VALUES_MAX
+values). The memo goes with the solve, and verify_configuration
+recomputes everything from scratch, one cut at a time.
 
 Whether the problem is in the certified regime is the verdict of
 certifier.certify(m, l, d) at the measure's d: one truncated build at
@@ -79,13 +79,7 @@ import numpy as np
 from numpy.linalg import norm
 
 from equibox import SCHEMA, certifier
-from equibox.measures import (
-    GENERATED_VALUES_MAX,
-    Configuration,
-    box_mass_tensor,
-    direction_cut,
-    rho,
-)
+from equibox.measures import Configuration, box_mass_tensor, direction_cut, rho
 
 CONVERGED = "CONVERGED"
 NOT_CONVERGED = "NOT_CONVERGED"
@@ -243,20 +237,6 @@ def _check_coarse_grid(n, m, d):
             "coarse_grid=%d asks for %d angle combinations at m=%d, above %d; "
             "the largest coarse_grid is %d"
             % (n, n ** m, m, COARSE_GRID_MAX_COMBOS, largest))
-
-
-def _check_cut_size(measure, l, cuts=1):
-    """Refuse a grid on which `cuts` parallel cuts, each l+1 float64 slab
-    fractions per cell, would hold more than GENERATED_VALUES_MAX values
-    together. A solve's memo can hold m + d + coarse_grid of them; a
-    verification makes one."""
-    values = cuts * (l + 1) * measure.cells.size if measure.kind == "grid" else 0
-    if values > GENERATED_VALUES_MAX:
-        raise ValueError(
-            "l=%d on a grid of %d cells needs %d cut values "
-            "(%d x (l+1) x cells), above %d; the largest l is %d"
-            % (l, measure.cells.size, values, cuts, GENERATED_VALUES_MAX,
-               GENERATED_VALUES_MAX // (cuts * measure.cells.size) - 1))
 
 
 def _check_tol(tol):
@@ -459,12 +439,12 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     accepted. A measure of dimension d < 2 (where every two directions are
     collinear), an (m, l) that certifier.PartitionProblem refuses (m
     outside [2, MAX_VARS] or l < 1), a coarse_grid that is negative, set
-    for d != 2 or above COARSE_GRID_MAX_COMBOS combinations, a grid whose
-    memo of parallel cuts would hold more than GENERATED_VALUES_MAX values
-    (_check_cut_size), a tol that is not a finite positive number or not
-    below the box target rho(l, m), maxfev < 1, a negative seed, and
-    point-cloud tolerances below the quantization floor (3 * max weight)
-    are rejected up front.
+    for d != 2 or above COARSE_GRID_MAX_COMBOS combinations, a memo of
+    parallel cuts that the measure refuses (measure.check_cuts),
+    max_restarts < 1, a tol that is not a finite positive number or not
+    below the box target rho(l, m), maxfev < 1, a negative seed, and a
+    tol that the measure refuses (measure.check_tol) are rejected up
+    front, in that order.
     """
     d = measure.dim
     if d < 2:
@@ -474,7 +454,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
     certifier.PartitionProblem(m, l)
     _check_coarse_grid(coarse_grid, m, d)
     capacity = m + d + coarse_grid  # of the cut memo: module docstring
-    _check_cut_size(measure, l, capacity)
+    measure.check_cuts(l, capacity)
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
     _check_tol(tol)
@@ -483,13 +463,7 @@ def solve_equipartition(measure, l, m, *, tol=1e-3, max_restarts=200, seed=0,
         raise ValueError("maxfev must be >= 1, got %d" % maxfev)
     if seed < 0:
         raise ValueError("seed must be >= 0, got %d" % seed)
-    if measure.kind == "point_cloud":
-        floor = 3.0 * measure.max_weight
-        if tol < floor:
-            raise ValueError(
-                "tolerance %g below the point-cloud quantization floor %g "
-                "(3 * max weight)" % (tol, floor)
-            )
+    measure.check_tol(tol)
     certified = certifier.certify(m, l, d).verdict == certifier.CERTIFIED
     if maxfev is None:
         maxfev = 400 * m * d
@@ -574,7 +548,7 @@ def verify_configuration(measure, config, tol):
     (certifier.PartitionProblem): the tensor has 2^(m-1) box columns."""
     certifier.PartitionProblem(config.m, config.l)
     _check_tol(tol)
-    _check_cut_size(measure, config.l)
+    measure.check_cuts(config.l, 1)
     _check_tol_below_target(tol, config.l, config.m)
     tensor = box_mass_tensor(measure, config)
     target = rho(config.l, config.m)

@@ -52,7 +52,7 @@ def _one_by_one(m, masks):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_forms_product_matches_one_by_one(m):
     # every set of forms for m <= 3 and 20 seeded random sets above, with
-    # and without each single-variable form, which forms_product pads in
+    # and without each single-variable form, whose slot is then left 1
     nonzero = range(1, 1 << m)
     if m <= 3:
         cases = [masks for r in range(1 << m)

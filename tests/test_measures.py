@@ -51,7 +51,7 @@ def test_load_cloud_csv_normalizes(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("x1,x2,w\n0,0,1\n1,0,1\n0,1,1\n")
     cloud = load_measure(p)
-    assert cloud.kind == "point_cloud"
+    assert isinstance(cloud, PointCloud)
     assert np.allclose(cloud.weights, 1 / 3)
 
 
@@ -62,7 +62,7 @@ def test_load_grid_json(tmp_path):
         "shape": [2, 2], "data": [1, 1, 1, 1],
     }))
     grid = load_measure(p)
-    assert grid.kind == "grid"
+    assert isinstance(grid, GridDensity)
     assert np.allclose(grid.cells, 0.25)
 
 
@@ -365,7 +365,7 @@ def test_cloud_slab_error_bounded_by_max_weight():
         offs = direction_quantiles(pc, u, l)
         cfg = Configuration(u, np.zeros((0, 2)), offs, [])
         slabs = box_mass_tensor(pc, cfg).ravel()
-        assert np.abs(slabs - 1 / (l + 1)).max() <= pc.max_weight + 1e-12
+        assert np.abs(slabs - 1 / (l + 1)).max() <= pc.weights.max() + 1e-12
 
 
 def test_grid_quantiles_reproduce_slab_masses():
@@ -784,7 +784,7 @@ def _spread_cells(grid, config, fractions_below=_below_in_cell_widths):
 
 
 def _reference_tensor(measure, config):
-    if measure.kind == "point_cloud":
+    if isinstance(measure, PointCloud):
         return _classify(measure.points, measure.weights, config)
     return _spread_cells(measure, config)
 
@@ -813,7 +813,7 @@ def test_split_tensor_matches_reference(kind, m):
         cfg = solver_test_map(measure, u, extra, l).config
         tensor = box_mass_tensor(measure, cfg)
         assert np.array_equal(tensor, _reference_tensor(measure, cfg))
-        if measure.kind == "grid":  # the fractions from space units
+        if isinstance(measure, GridDensity):  # the fractions from space units
             space = _spread_cells(measure, cfg, _below_in_space)
             assert np.abs(tensor - space).max() <= 1e-12
 
@@ -863,7 +863,7 @@ def test_direction_cut_offsets_are_the_quantiles(kind):
         assert np.array_equal(
             offsets, measure.quantile_offsets(measure.project(u), targets))
         assert not offsets.flags.writeable and not member.flags.writeable
-        if measure.kind == "point_cloud":
+        if isinstance(measure, PointCloud):
             proj = measure.points @ u
             assert np.array_equal(member, np.searchsorted(offsets, proj))
         else:
@@ -1045,7 +1045,7 @@ def test_halfway_tie_costs_at_most_one_point_per_slab(n):
     fwd = box_mass_tensor(pc, solver_test_map(pc, u, extra, 1).config)
     rev = box_mass_tensor(pc, solver_test_map(pc, -u, extra, 1).config)
     assert np.all(np.abs(rev[::-1] - fwd).sum(axis=1)
-                  <= pc.max_weight * (1 + 1e-12))
+                  <= pc.weights.max() * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])

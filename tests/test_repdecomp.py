@@ -127,7 +127,7 @@ def _projector_multiplicities(spec):
                         acc[b] += v[perm[b]]
             images.append(acc)
         mult[chi_mask] = _rank(images)
-    return CharacterTable(spec.m, mult, len(basis))
+    return CharacterTable(mult, len(basis))
 
 
 def test_small_case_dimensions():

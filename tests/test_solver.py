@@ -26,7 +26,6 @@ from equibox.solver import (
     FAILURE_NOTE,
     NOT_CONVERGED,
     UNCERTIFIED_NOTE,
-    _check_cut_size,
     _cut_memo,
     _angles,
     _better,
@@ -79,8 +78,8 @@ def test_map_slab_sums_definitional():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dt = eval_test_map(pc, dirs[0], dirs[1:], 3)
     slab, halving = _constraint_sums(dt)
-    assert slab <= pc.max_weight + 1e-12
-    assert halving <= pc.max_weight + 1e-12
+    assert slab <= pc.weights.max() + 1e-12
+    assert halving <= pc.weights.max() + 1e-12
 
 
 def test_map_grid_constraints_hold_for_oblique_directions():
@@ -624,11 +623,11 @@ def test_solver_option_validation():
 
 def test_grid_cut_size_guard_names_the_largest_l():
     grid = GridDensity([0, 0], [1, 1], np.ones((64, 64)))
-    _check_cut_size(grid, 4095)  # 2^24 values: the limit itself passes
+    grid.check_cuts(4095, 1)  # 2^24 values: the limit itself passes
     with pytest.raises(ValueError, match="largest l is 4095"):
-        _check_cut_size(grid, 4096)
+        grid.check_cuts(4096, 1)
     cloud = PointCloud(np.zeros((4096, 2)), np.ones(4096))
-    _check_cut_size(cloud, 10 ** 6)  # a cloud's slab is one index per point
+    cloud.check_cuts(10 ** 6, 1)  # a cloud's slab is one index per point
 
 
 def test_solve_cut_size_guard_counts_the_memo():
@@ -696,3 +695,70 @@ def test_tol_at_or_above_the_box_target_is_refused():
         with pytest.raises(ValueError, match="not below the box target"):
             verify_configuration(grid, config, tol)
     assert verify_configuration(grid, config, np.nextafter(target, 0)).passed
+
+
+class _ProtocolOnly:
+    """A measure seen only through the protocol that solve and verify may
+    read; any other attribute is an AttributeError."""
+
+    PROTOCOL = ("dim", "diff_step", "project", "quantile_offsets",
+                "membership", "combine", "check_tol", "check_cuts")
+
+    def __init__(self, measure):
+        for name in self.PROTOCOL:
+            setattr(self, name, getattr(measure, name))
+
+
+@pytest.mark.parametrize("make_measure,l,m,tol,coarse_grid", [
+    (lambda: _centered_gaussian_grid(48), 2, 2, 1e-3, 4),
+    (lambda: gaussian_mixture_cloud(3, 4, 3000, seed=5), 1, 3, 1e-2, 0),
+], ids=["grid", "cloud"])
+def test_solver_reads_only_the_measure_protocol(make_measure, l, m, tol,
+                                                coarse_grid):
+    measure = make_measure()
+    wrapped = _ProtocolOnly(measure)
+    kwargs = dict(tol=tol, max_restarts=3, coarse_grid=coarse_grid,
+                  maxfev=200)
+    rep = solve_equipartition(measure, l, m, **kwargs)
+    assert solve_equipartition(wrapped, l, m, **kwargs).to_json() == rep.to_json()
+    ver = verify_configuration(measure, rep.config, tol)
+    assert verify_configuration(wrapped, rep.config, tol).to_json() == ver.to_json()
+
+
+# The controls below sit on point clouds, whose box masses are exact; a
+# grid's box gets the product of a cell's fractions along each direction,
+# which leaks mass into boxes that are empty in space (measures docstring).
+
+@pytest.mark.parametrize("measure_seed", [1, 2, 3])
+def test_hadwiger_three_planes_split_a_cloud_into_eighths(measure_seed):
+    # (m, l, d) = (3, 1, 3) is Hadwiger's theorem: three planes cut any mass
+    # in R^3 into 8 equal parts. It lies below the criterion's certificate,
+    # and the solver still finds it on generic clouds (6 components)
+    assert certifier.certify(3, 1, 3).verdict == certifier.INCONCLUSIVE
+    pc = gaussian_mixture_cloud(3, 6, 20000, seed=measure_seed)
+    rep = solve_equipartition(pc, 1, 3, tol=1e-3)
+    assert rep.status == CONVERGED
+    assert not rep.certified_regime and rep.note == UNCERTIFIED_NOTE
+    assert verify_configuration(pc, rep.config, 1e-3).passed
+
+
+@pytest.mark.parametrize("measure_seed", [1, 2, 3])
+def test_four_planes_leave_one_of_sixteen_boxes_empty_in_r3(monkeypatch,
+                                                           measure_seed):
+    # (m, l, d) = (4, 1, 3) is impossible for every measure: four planes
+    # cut R^3 into at most C(4,0) + ... + C(4,3) = 15 regions, so one of the
+    # 16 boxes is empty and every evaluation is at least rho = 1/16 off
+    pc = gaussian_mixture_cloud(3, 7, 2000, seed=measure_seed)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        dt = eval_test_map(*args, **kwargs)
+        seen.append(dt.residual_max)
+        return dt
+
+    monkeypatch.setattr(solver, "test_map", recorded)
+    rep = solve_equipartition(pc, 1, 4, tol=1e-2, max_restarts=3, maxfev=300)
+    assert len(seen) == rep.evaluations > 0
+    assert min(seen) >= 1 / 16
+    assert rep.status == NOT_CONVERGED and rep.residual_max == 0.0625
+    assert not verify_configuration(pc, rep.config, 0.0624).passed
