@@ -36,7 +36,7 @@ row's search at the previous row's d rather than at the degree bound
 The criterion never proves impossibility: a failed test is INCONCLUSIVE.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from equibox.dickson import MAX_VARS, dickson_moore
@@ -56,33 +56,36 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _TABLE_LMAX_CAP = {2: 128, 3: 64, 4: 32, 5: 12, 6: 6}
 
 
-@dataclass(frozen=True)
-class PartitionProblem:
-    """m >= 2 directions, l >= 1 parallel hyperplanes, optional ambient d."""
+class PartitionProblem(namedtuple("PartitionProblem", "m l d")):
+    """m >= 2 directions, l >= 1 parallel hyperplanes, optional ambient d.
 
-    m: int
-    l: int
-    d: int | None = None
+    The records of the exact route are named tuples, not dataclasses, so
+    that a cold start skips the dataclass machinery (dataclasses, inspect)."""
 
-    def __post_init__(self):
-        if not 2 <= self.m <= MAX_VARS:
-            raise ValueError("m must be in [2, %d], got %r" % (MAX_VARS, self.m))
-        if self.l < 1:
-            raise ValueError("l must be >= 1, got %r" % (self.l,))
-        if self.d is not None and self.d < 1:
-            raise ValueError("d must be >= 1, got %r" % (self.d,))
+    __slots__ = ()
+
+    def __new__(cls, m, l, d=None):
+        if not 2 <= m <= MAX_VARS:
+            raise ValueError("m must be in [2, %d], got %r" % (MAX_VARS, m))
+        if l < 1:
+            raise ValueError("l must be >= 1, got %r" % (l,))
+        if d is not None and d < 1:
+            raise ValueError("d must be >= 1, got %r" % (d,))
+        return super().__new__(cls, m, l, d)
 
     @property
     def boxes(self):
         return (self.l + 1) * 2 ** (self.m - 1)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    problem: PartitionProblem
-    witness: tuple | None
-    verdict: str
-    note: str = ""
+class Certificate(namedtuple("Certificate", "problem witness verdict note",
+                             defaults=("",))):
+    """certify's answer: the problem, the witness term (None when
+    INCONCLUSIVE), the verdict and a note, "" when none applies. A named
+    tuple, as PartitionProblem is, so that a cold start skips the
+    dataclass machinery."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,11 @@ All machine-readable output carries "schema": "equibox/1" (equibox.SCHEMA).
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-# repdecomp, measures and solver are imported by the commands that use
-# them (measures and solver pull in numpy), so that the other commands
+# repdecomp, measures, solver and json are imported by the commands that
+# use them (measures and solver pull in numpy), so that the other commands
 # start fast
 from equibox import SCHEMA, certifier, dickson
 from equibox.gf2poly import PolyGF2
@@ -95,6 +94,8 @@ def _build_parser():
 
 
 def _print_json(**fields):
+    import json
+
     print(json.dumps(dict(fields, schema=SCHEMA), sort_keys=True))
 
 
@@ -237,6 +238,8 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
+    import json
+
     from equibox import measures, solver
 
     measure = measures.load_measure(args.input)

@@ -14,8 +14,6 @@ highest term first. Text form: terms joined by "+", factors joined by
 term is "1" and the zero polynomial is "0".
 """
 
-from __future__ import annotations
-
 import sys
 from itertools import repeat
 

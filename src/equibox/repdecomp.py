@@ -38,7 +38,7 @@ by -1, and then its linear form holds x_(i+1). This is the key of
 certifier.criterion_factors and dickson.forms_product.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 from operator import eq
 
@@ -55,33 +55,31 @@ from equibox.gf2poly import PolyGF2
 MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(namedtuple("ActionSpec",
+                             "m l generator_perms constraints")):
     """Box permutation action plus the invariant constraint functionals.
 
     Boxes are indexed by id = slab * 2^(m-1) + bits, slab in [0, l],
     bits an (m-1)-bit side vector. generator_perms[i][b] is the image
     of box b under generator i; each constraint is a sparse
-    {box: nonzero int coefficient} row over box coordinates.
+    {box: nonzero int coefficient} row over box coordinates. A named
+    tuple, as certifier.PartitionProblem is, so that a cold start skips
+    the dataclass machinery.
     """
 
-    m: int
-    l: int
-    generator_perms: tuple
-    constraints: tuple
+    __slots__ = ()
 
     @property
     def box_count(self):
         return (self.l + 1) * 2 ** (self.m - 1)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "multiplicities total_dim")):
     """Multiplicity of each sign character, keyed by its form mask (see
-    the module docstring): bit i for x_(i+1)."""
+    the module docstring): bit i for x_(i+1). A named tuple, as ActionSpec
+    is, so that a cold start skips the dataclass machinery."""
 
-    multiplicities: dict
-    total_dim: int
+    __slots__ = ()
 
 
 def character_name(mask):

@@ -476,3 +476,13 @@ def test_partition_problem_validation():
     with pytest.raises(ValueError):
         PartitionProblem(2, 2, 0)
     assert PartitionProblem(3, 2).boxes == 12
+
+
+def test_records_are_immutable_values():
+    problem = PartitionProblem(3, 2)
+    with pytest.raises(AttributeError):
+        problem.m = 4
+    assert problem == PartitionProblem(3, 2)
+    assert hash(problem) == hash(PartitionProblem(3, 2))
+    # d = 4 certifies (3, 2) and passes the dimension count: no note
+    assert certify(3, 2, 4).note == ""

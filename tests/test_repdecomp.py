@@ -137,6 +137,13 @@ def test_small_case_dimensions():
     assert len(_constraint_subspace_basis(spec)) == 2
 
 
+def test_action_spec_is_immutable():
+    spec = build_test_representation(2, 2)
+    with pytest.raises(AttributeError):
+        spec.l = 3
+    assert spec == build_test_representation(2, 2)
+
+
 def test_constraints_are_sparse_integer_rows():
     # box = slab * 2 + side: one row per slab, then the halving row over
     # the boxes on side 0
