@@ -693,8 +693,9 @@ def test_cli_import_leaves_numerical_stack_unloaded():
 
 def test_only_decompose_loads_repdecomp():
     # the child imports equibox from where this process found it; the
-    # exact route loads no dataclasses, inspect or json in plain text, and
-    # the last two commands, decompose and dickson --json, show that the
+    # exact route loads no dataclasses, inspect or json in plain text,
+    # plain dickson loads neither repdecomp nor fractions, and the last
+    # two commands, decompose and dickson --json, show that the
     # probe sees a lazy import
     root = os.path.dirname(os.path.dirname(equibox.__file__))
     env = dict(os.environ, PYTHONPATH=root)
@@ -702,8 +703,8 @@ def test_only_decompose_loads_repdecomp():
         "import contextlib, io, sys",
         "from equibox.cli import dispatch",
         "for argv in ('min-d --m 3 --l 4', 'certify --m 3 --l 4 --d 7',",
-        "             'table --m 3 --l-max 4', 'decompose --m 3 --l 4',",
-        "             'dickson --m 3 --json'):",
+        "             'table --m 3 --l-max 4', 'dickson --m 3',",
+        "             'decompose --m 3 --l 4', 'dickson --m 3 --json'):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        code = dispatch(argv.split())",
         "    print(argv.split()[0], code, *(m for m in",
@@ -713,7 +714,8 @@ def test_only_decompose_loads_repdecomp():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == [
-        "min-d 0", "certify 0", "table 0", "decompose 0 equibox.repdecomp",
+        "min-d 0", "certify 0", "table 0", "dickson 0",
+        "decompose 0 equibox.repdecomp",
         "dickson 0 equibox.repdecomp json"]
 
 
